@@ -68,12 +68,8 @@ __all__ = [
 def _matrix_gram(g: LieAlgebra) -> np.ndarray:
     mats = g.matrices
     assert mats is not None, "algebra carries no matrix realization"
-    d = len(mats)
-    gram = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            gram[i, j] = gram[j, i] = np.trace(mats[i] @ mats[j])
-    return gram
+    stack = np.array(mats)
+    return np.einsum("ipq,jqp->ij", stack, stack, optimize=True)  # tr(A_i A_j)
 
 
 def _coords(g: LieAlgebra, mat, tol: float = 1e-9) -> np.ndarray:

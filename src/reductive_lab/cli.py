@@ -201,7 +201,8 @@ def render_text(report, elapsed) -> str:
         if ljr["max_residual"] is not None:
             lines.append("max residual      %.3e" % ljr["max_residual"])
     for key, value in sorted(report.get("residuals", {}).items()):
-        lines.append("residual[%s]  %.3e" % (key, value))
+        if value is not None:  # no relation: the relation line says why
+            lines.append("residual[%s]  %.3e" % (key, value))
     lines.append("seed %d, samples %s, residual tol %g"
                  % (report["seed"], report["samples"],
                     report["tolerances"]["residual"]))
@@ -220,6 +221,8 @@ def render_markdown(report, elapsed) -> str:
             lines.append("| %s | %s | %s | %.3e |" % (label, want, got, diff))
         lines.append("")
     ljr = report.get("ljr")
+    if ljr and not ljr["exists"]:
+        lines.append("relation none: no linear Jacobi relation found")
     if ljr and ljr["max_residual"] is not None:
         lines.append("max residual %.3e, seed %d, wall time %.3fs"
                      % (ljr["max_residual"], report["seed"], elapsed))

@@ -395,12 +395,10 @@ def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16,
     n = triple.dim_m
     xs = sample_vectors(n, count=samples, seed=seed)
     base = [fn(x) for x in xs]
+    # ads[i] is ad(h_i) on m: column b is [h_i, m_b]_m
+    ads = triple.m_component(triple.g.brackets(triple.h_basis, triple.m_basis))
     worst = 0.0
-    for i in range(triple.h_basis.shape[1]):
-        h = triple.h_basis[:, i]
-        ad = np.column_stack([
-            triple.m_component(triple.g.bracket(h, triple.m_basis[:, b]))
-            for b in range(n)])
+    for ad in ads.transpose(0, 2, 1):
         for t in grid:
             rot = expm(t * ad)
             for x, b in zip(xs, base):

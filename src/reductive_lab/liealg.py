@@ -90,10 +90,10 @@ class LieAlgebra:
             else:
                 tensor[j, i, k] = -v
         self.tensor = tensor
-        self.triples = tuple(sorted(
-            (i, j, k, tensor[i, j, k])
-            for i in range(dim) for j in range(i + 1, dim) for k in range(dim)
-            if tensor[i, j, k] != 0.0))
+        i, j, k = np.nonzero(tensor)
+        upper = i < j
+        i, j, k = i[upper], j[upper], k[upper]
+        self.triples = tuple(zip(i.tolist(), j.tolist(), k.tolist(), tensor[i, j, k]))
         self.matrices = None  # set by from_matrix_algebra
 
         residual = self.jacobi_residual()
@@ -101,23 +101,41 @@ class LieAlgebra:
             raise ValueError("Jacobi identity fails: residual %.3e" % residual)
 
     def jacobi_residual(self) -> float:
+        """Max |[ad e_i, ad e_j] - ad [e_i, e_j]| over i < j.
+
+        Entry-wise this is the cyclic Jacobi sum, checked one row i at a
+        time so memory stays O(dim^3).
+        """
         c = self.tensor
-        d = np.einsum("ijm,mlk->ijlk", c, c)
-        cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
-        return float(np.max(np.abs(cyc))) if self.dim else 0.0
+        ads = c.transpose(0, 2, 1)  # ads[j] = ad(e_j)
+        flat = ads.reshape(self.dim, -1)
+        worst = 0.0
+        for i in range(self.dim):
+            rest = ads[i + 1:]
+            defect = ads[i] @ rest - rest @ ads[i] \
+                - (c[i, i + 1:] @ flat).reshape(rest.shape)
+            worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
+        return worst
+
+    def brackets(self, xs, ys) -> np.ndarray:
+        """All brackets [xs[:, a], ys[:, b]] as an (a, b, dim) array.
+
+        xs and ys are (dim, a) and (dim, b) column stacks.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != self.dim \
+                or ys.shape[0] != self.dim:
+            raise DimensionMismatch("expected (%d, k) column stacks" % self.dim)
+        partial = xs.T @ self.tensor.reshape(self.dim, self.dim ** 2)  # [x_a, e_j]
+        return ys.T @ partial.reshape(xs.shape[1], self.dim, self.dim)
 
     def bracket(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimensionMismatch("expected vectors of length %d" % self.dim)
-        return np.einsum("ijk,i,j->k", self.tensor, x, y)
-
-    def ad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch("expected vector of length %d" % self.dim)
-        return np.einsum("ijk,i->kj", self.tensor, x)
+        return self.brackets(x[:, None], y[:, None])[0, 0]
 
     def killing_form(self) -> "BilinearForm":
         k = np.einsum("imk,jkm->ij", self.tensor, self.tensor)
@@ -137,16 +155,10 @@ class BilinearForm:
     def __call__(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.matrix @ np.asarray(y, float))
 
-    def restricted(self, basis) -> np.ndarray:
-        basis = np.asarray(basis, dtype=float)
-        return basis.T @ self.matrix @ basis
-
     def invariance_residual(self, g: LieAlgebra) -> float:
-        worst = 0.0
-        for z in range(g.dim):
-            a = g.ad(np.eye(g.dim)[z])
-            worst = max(worst, float(np.max(np.abs(a.T @ self.matrix + self.matrix @ a))))
-        return worst
+        """Max |ad(e_z)^T B + B ad(e_z)| over z."""
+        cb = g.tensor @ self.matrix  # cb[z] = ad(e_z)^T B
+        return float(np.max(np.abs(cb + cb.transpose(0, 2, 1)), initial=0.0))
 
     def is_invariant(self, g: LieAlgebra, tol: float = 1e-9) -> bool:
         return self.invariance_residual(g) <= tol
@@ -167,23 +179,24 @@ def from_matrix_algebra(matrices, labels=None, tol: float = 1e-9,
     """
     mats = [np.asarray(m, dtype=float) for m in matrices]
     d = len(mats)
-    n = mats[0].shape[0]
-    span = np.column_stack([m.reshape(-1) for m in mats])
+    stack = np.array(mats)
+    span = stack.reshape(d, -1).T
     if np.linalg.matrix_rank(span, tol=1e-10) < d:
         raise ValueError("generators are linearly dependent")
     pinv = np.linalg.pinv(span)
     scale = max(1.0, max(np.linalg.norm(m) for m in mats))
-    brackets = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords = pinv @ comm.reshape(-1)
-            residual = np.linalg.norm(span @ coords - comm.reshape(-1))
-            if residual > tol * scale ** 2:
-                raise NotClosed("[m%d, m%d] leaves the span: residual %.3e" % (i, j, residual))
-            for k in np.flatnonzero(np.abs(coords) > 1e-12):
-                brackets[(i, j, int(k))] = float(coords[k])
-    g = LieAlgebra(d, brackets, labels=labels, jacobi_tol=jacobi_tol)
+    i, j = np.triu_indices(d, 1)
+    comm = (stack[i] @ stack[j] - stack[j] @ stack[i]).reshape(i.size, -1)
+    coords = comm @ pinv.T  # row p: [m_i, m_j] at (i[p], j[p]) in generator coordinates
+    residual = np.linalg.norm(coords @ span.T - comm, axis=1)
+    if residual.size:
+        worst = int(np.argmax(residual))
+        if residual[worst] > tol * scale ** 2:
+            raise NotClosed("[m%d, m%d] leaves the span: residual %.3e"
+                            % (i[worst], j[worst], residual[worst]))
+    p, k = np.nonzero(np.abs(coords) > 1e-12)
+    g = LieAlgebra(d, zip(i[p], j[p], k, coords[p, k]), labels=labels,
+                   jacobi_tol=jacobi_tol)
     g.matrices = mats
     return g
 
@@ -216,12 +229,8 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
     if kernel.shape[1] == 0:
         return kernel
     # closure check: brackets of kernel elements stay inside the kernel span
-    proj = kernel @ kernel.T
-    worst = 0.0
-    for i in range(kernel.shape[1]):
-        for j in range(i + 1, kernel.shape[1]):
-            b = g.bracket(kernel[:, i], kernel[:, j])
-            worst = max(worst, float(np.linalg.norm(b - proj @ b)))
+    b = g.brackets(kernel, kernel)
+    worst = float(np.max(np.linalg.norm(b - b @ (kernel @ kernel.T), axis=-1)))
     assert worst < 1e-9, "stabilizer not closed under bracket: %.3e" % worst
     return kernel
 

@@ -84,12 +84,13 @@ class ReductiveTriple:
         self.check(reductive_tol)
 
     def m_component(self, v) -> np.ndarray:
-        """Coordinates of the m-part of a g-vector in the orthonormal m-basis."""
-        return self.m_basis.T @ (self.B.matrix @ v)
+        """Coordinates of the m-part of g-vectors (last axis) in the
+        orthonormal m-basis."""
+        return v @ (self.B.matrix @ self.m_basis)
 
     def h_component(self, v) -> np.ndarray:
-        """The h-part of a g-vector, as a g-vector."""
-        return v - self.m_basis @ self.m_component(v)
+        """The h-part of g-vectors (last axis), as g-vectors."""
+        return v - self.m_component(v) @ self.m_basis.T
 
     def check(self, tol: float) -> None:
         g, h, m, B = self.g, self.h_basis, self.m_basis, self.B
@@ -99,15 +100,8 @@ class ReductiveTriple:
             np.testing.assert_allclose(h.T @ B.matrix @ m,
                                        np.zeros((h.shape[1], self.dim_m)),
                                        atol=1e-10, err_msg="h and m not B-orthogonal")
-        worst_hh = 0.0
-        worst_hm = 0.0
-        for i in range(h.shape[1]):
-            for j in range(i + 1, h.shape[1]):
-                v = g.bracket(h[:, i], h[:, j])
-                worst_hh = max(worst_hh, float(np.max(np.abs(self.m_component(v)))))
-            for a in range(self.dim_m):
-                v = g.bracket(h[:, i], m[:, a])
-                worst_hm = max(worst_hm, float(np.max(np.abs(h.T @ B.matrix @ v))))
+        worst_hh = float(np.max(np.abs(self.m_component(g.brackets(h, h))), initial=0.0))
+        worst_hm = float(np.max(np.abs(g.brackets(h, m) @ (B.matrix @ h)), initial=0.0))
         if worst_hh > tol:
             raise NotReductive("[h,h] leaves h: residual %.3e" % worst_hh)
         if worst_hm > tol:
@@ -172,44 +166,32 @@ class InfinitesimalModel:
         """The skew endomorphism tau_X, metric-dual of tau(X, ., .)."""
         return np.einsum("a,abc->cb", np.asarray(x, float), self.tau)
 
-    def rbar_matrix(self, x, y) -> np.ndarray:
-        return np.einsum("ijab,i,j->ab", self.rbar,
-                         np.asarray(x, float), np.asarray(y, float))
-
     def holonomy_residual(self) -> float:
-        """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation."""
+        """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation.
+
+        One row i at a time, over all j > i, so memory stays O(n^4).
+        """
+        t = self.tau
         worst = 0.0
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                a = self.rbar[i, j]
-                dt = (np.einsum("am,mbc->abc", a, self.tau)
-                      + np.einsum("bm,amc->abc", a, self.tau)
-                      + np.einsum("cm,abm->abc", a, self.tau))
-                worst = max(worst, float(np.max(np.abs(dt))))
+            a = self.rbar[i, i + 1:]
+            dt = (np.einsum("jam,mbc->jabc", a, t, optimize=True)
+                  + np.einsum("jbm,amc->jabc", a, t, optimize=True)
+                  + np.einsum("jcm,abm->jabc", a, t, optimize=True))
+            worst = max(worst, float(np.max(np.abs(dt), initial=0.0)))
         return worst
 
 
 def to_model(triple: ReductiveTriple, holonomy_tol: float = 1e-9) -> InfinitesimalModel:
     """Infinitesimal model of a triple: tau(x,y) = -[x,y]_m, rbar = -ad([x,y]_h)."""
-    g, B, m = triple.g, triple.B, triple.m_basis
-    n = triple.dim_m
-    tau = np.zeros((n, n, n))
-    rbar = np.zeros((n, n, n, n))
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            brackets[(i, j)] = g.bracket(m[:, i], m[:, j])
-    for (i, j), v in brackets.items():
-        tau_ij = -triple.m_component(v)
-        tau[i, j, :] = tau_ij
-        tau[j, i, :] = -tau_ij
-        h_part = triple.h_component(v)
-        # column b of rbar(e_i, e_j) is -[h_part, m_b] in m-coordinates
-        cols = np.column_stack([
-            -triple.m_component(g.bracket(h_part, m[:, b])) for b in range(n)])
-        rbar[i, j] = cols
-        rbar[j, i] = -cols
-    model = InfinitesimalModel(tau, rbar)
+    g, m, n = triple.g, triple.m_basis, triple.dim_m
+    mm = g.brackets(m, m)
+    mm = 0.5 * (mm - mm.transpose(1, 0, 2))  # exactly skew in (i, j)
+    tau = -triple.m_component(mm)
+    h_part = triple.h_component(mm).reshape(n * n, g.dim)
+    # column b of rbar(e_i, e_j) is -[h_part_ij, m_b] in m-coordinates
+    rbar = -triple.m_component(g.brackets(h_part.T, m)).transpose(0, 2, 1)
+    model = InfinitesimalModel(tau, rbar.reshape(n, n, n, n))
     model.triple = triple
     residual = model.holonomy_residual()
     assert residual < holonomy_tol, \
@@ -361,12 +343,10 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     if h_normal.shape[1]:
         if np.max(np.abs(k_basis @ (k_pinv @ h_normal) - h_normal)) > 1e-10:
             raise NotNormalSubalgebra("h is not contained in the isotropy algebra")
-        h_pinv = np.linalg.pinv(h_normal)
-        for i in range(k_basis.shape[1]):
-            for a in range(h_normal.shape[1]):
-                v = g.bracket(k_basis[:, i], h_normal[:, a])
-                if np.max(np.abs(h_normal @ (h_pinv @ v) - v)) > 1e-9:
-                    raise NotNormalSubalgebra("[k, h] leaves h")
+        v = g.brackets(k_basis, h_normal)
+        h_proj = h_normal @ np.linalg.pinv(h_normal)
+        if np.max(np.abs(v @ h_proj.T - v), initial=0.0) > 1e-9:
+            raise NotNormalSubalgebra("[k, h] leaves h")
 
     if s == 0.0:
         return build_triple(g, h_normal, B)
@@ -418,17 +398,12 @@ def _nullspace(a):
 def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: float):
     """g + (k/h) with the fiber carrying the quotient bracket and (1/s) B."""
     d, q = g.dim, z_cols.shape[1]
-    z_gram_inv = sign * np.eye(q)  # z-columns are (sign B)-orthonormal
-    brackets = {}
-    for i, j, k, v in g.triples:
-        brackets[(i, j, k)] = v
-    for a in range(q):
-        for b in range(a + 1, q):
-            w = g.bracket(z_cols[:, a], z_cols[:, b])
-            coords = z_gram_inv @ (z_cols.T @ B.matrix @ w)
-            for c in np.flatnonzero(np.abs(coords) > 1e-12):
-                brackets[(d + a, d + b, d + int(c))] = float(coords[c])
-    ghat = LieAlgebra(d + q, brackets,
+    i, j = np.triu_indices(q, 1)
+    # z-columns are (sign B)-orthonormal, so sign B z_cols reads off coordinates
+    coords = sign * (g.brackets(z_cols, z_cols)[i, j] @ (B.matrix @ z_cols))
+    p, k = np.nonzero(np.abs(coords) > 1e-12)
+    fiber = zip(d + i[p], d + j[p], d + k, coords[p, k])
+    ghat = LieAlgebra(d + q, list(g.triples) + list(fiber),
                       labels=list(g.labels) + ["f%d" % a for a in range(q)])
     bm = np.zeros((d + q, d + q))
     bm[:d, :d] = B.matrix
@@ -451,15 +426,11 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     np.testing.assert_allclose(model.tau[:n, :n, :n], base_model.tau, atol=tol,
                                err_msg="horizontal torsion changed")
     denom = np.sqrt(sign * (1.0 + s))
-    rhos = []
-    for a in range(q):
-        rho = np.column_stack([
-            base.m_component(base.g.bracket(z_cols[:, a], base.m_basis[:, b]))
-            for b in range(n)])
-        rhos.append(rho)
-        # tau_hat(x, y, w_a) = -<rho_a x, y> / sqrt(|1+s|)
-        np.testing.assert_allclose(model.tau[:n, :n, n + a], -rho.T / denom,
-                                   atol=tol, err_msg="vertical torsion wrong")
+    # rhos[a] is the isotropy action of z_a on m: column b is [z_a, m_b]_m
+    rhos = base.m_component(base.g.brackets(z_cols, base.m_basis)).transpose(0, 2, 1)
+    # tau_hat(x, y, w_a) = -<rho_a x, y> / sqrt(|1+s|)
+    np.testing.assert_allclose(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom,
+                               atol=tol, err_msg="vertical torsion wrong")
     if q == 1:
         assert np.max(np.abs(model.tau[:, n:, n:])) < tol
         rho = rhos[0]

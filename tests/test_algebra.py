@@ -96,6 +96,14 @@ class TestSkewSpectralDecomposition:
         with pytest.raises(DegenerateSpectrum):
             skew_spectral_decomposition(a, gap_tol=1e-6)
 
+    def test_block_below_gap_raises(self):
+        # mu = 1e-8 joins the kernel cluster, so the blocks miss A
+        a = np.zeros((4, 4))
+        a[:2, :2] = rotation_block(1.0)
+        a[2:, 2:] = rotation_block(1e-4)
+        with pytest.raises(DegenerateSpectrum, match="reconstruct"):
+            skew_spectral_decomposition(a)
+
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4, 5, 6]))
     @settings(deadline=None)
     def test_roundtrip_on_rational_entries(self, seed, n):

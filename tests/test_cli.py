@@ -1,6 +1,7 @@
 """Exit codes, determinism and report shape of the command-line driver."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,14 @@ class TestMinpoly:
         report = json.loads(out)
         assert report["ljr"]["exists"] is False
         assert report["ljr"]["eigen_structure"]["failures"]
+
+    @pytest.mark.parametrize("fmt", [[], ["--markdown"]], ids=["text", "markdown"])
+    def test_no_relation_report(self, capsys, fmt):
+        code, out, err = run(capsys, "minpoly", "neg:sp2-sp1", *fmt)
+        assert code == 1
+        assert "Traceback" not in err
+        assert re.search(r"^relation +none", out, re.M)
+        assert "residual[" not in out
 
 
 class TestVerify:

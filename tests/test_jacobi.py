@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from reductive_lab.algebra import (Polynomial, operator_on_symmetric,
                                    skew_spectral_decomposition)
+from reductive_lab.catalog import entry
 from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily,
                                   PolarizationRankDeficient, check_ljr,
                                   component_split, curvature_term,
@@ -264,6 +265,15 @@ class TestMinimalLjr:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             minimal_ljr(heis_family(1, 1.0), samples=unit_samples(3, 4))
+
+    def test_resamples_when_a_tiny_block_is_lost(self):
+        # one sample splits off a block with mu < gap_tol, which merges into
+        # the kernel; the split must resample instead of aborting
+        fam = JacobiFamily(entry("heisenberg:n=8,c=0.604").build())
+        verdict = minimal_ljr(fam, samples=64, seed=5)
+        assert verdict.exists
+        np.testing.assert_allclose(verdict.polynomial.coefficients,
+                                   [0.0, 0.604 ** 2, 0.0, 1.0], atol=1e-9)
 
 
 class TestUniversalJr:
