@@ -128,11 +128,11 @@ class SkewBlock:
 class SkewSpectrum:
     """Canonical decomposition A = sum_ell lam_ell J_ell pi_ell of a skew map."""
 
-    def __init__(self, zero_space, blocks, residual_tol: float = RESIDUAL_TOL):
+    def __init__(self, zero_space, blocks):
         self.zero_space = np.asarray(zero_space, dtype=float)
         self.blocks = list(blocks)
         self.dim = self.zero_space.shape[0]
-        self.check(residual_tol)
+        self.check()
 
     @property
     def lams(self) -> np.ndarray:
@@ -152,18 +152,18 @@ class SkewSpectrum:
             out += b.lam * (b.j @ b.projection)
         return out
 
-    def check(self, tol: float) -> None:
+    def check(self) -> None:
         lams = self.lams
         assert np.all(lams > 0)
         assert np.all(np.diff(lams) > 0), "block eigenvalues must increase strictly"
         frames = [self.zero_space] + [b.basis for b in self.blocks]
         q = np.hstack([f for f in frames if f.shape[1] > 0])
         assert q.shape == (self.dim, self.dim), "blocks and kernel must span"
-        np.testing.assert_allclose(q.T @ q, np.eye(self.dim), atol=tol)
+        np.testing.assert_allclose(q.T @ q, np.eye(self.dim), atol=RESIDUAL_TOL)
         for b in self.blocks:
             assert b.basis.shape[1] % 2 == 0
-            np.testing.assert_allclose(b.j @ b.j, -b.projection, atol=tol)
-            np.testing.assert_allclose(b.j @ b.projection, b.j, atol=tol)
+            np.testing.assert_allclose(b.j @ b.j, -b.projection, atol=RESIDUAL_TOL)
+            np.testing.assert_allclose(b.j @ b.projection, b.j, atol=RESIDUAL_TOL)
 
 
 def _cluster_breaks(values: np.ndarray, gap_tol: float):
@@ -178,8 +178,7 @@ def _cluster_breaks(values: np.ndarray, gap_tol: float):
     return clusters
 
 
-def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL,
-                                residual_tol: float = RESIDUAL_TOL) -> SkewSpectrum:
+def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
     """Decompose a skew-symmetric A via the symmetric PSD operator -A^2.
 
     Eigenvalues of -A^2 are clustered with gap_tol; the cluster at zero is the
@@ -190,7 +189,7 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL,
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A + A.T) > residual_tol * scale:
+    if np.linalg.norm(A + A.T) > RESIDUAL_TOL * scale:
         raise NotSkew("operator is not skew-symmetric: ||A + A^T|| = %.3e"
                       % np.linalg.norm(A + A.T))
 
@@ -229,33 +228,32 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL,
         blocks.append(SkewBlock(lam, basis, j, projection))
 
     blocks.sort(key=lambda b: b.lam)
-    spectrum = SkewSpectrum(zero_space, blocks, residual_tol)
+    spectrum = SkewSpectrum(zero_space, blocks)
     # a block with mu below gap_tol merges into the kernel and is lost here;
-    # the bound is that of assert_allclose(atol=residual_tol * scale)
+    # the bound is that of assert_allclose(atol=RESIDUAL_TOL * scale)
     residual = np.abs(spectrum.reconstruct() - A)
-    if np.any(residual > residual_tol * scale + 1e-7 * np.abs(A)):
+    if np.any(residual > RESIDUAL_TOL * scale + 1e-7 * np.abs(A)):
         raise DegenerateSpectrum("blocks do not reconstruct the operator: residual %.3e"
                                  % float(np.max(residual)))
     return spectrum
 
 
-def minimal_polynomial_wrt(A, x, gap_tol: float = GAP_TOL,
-                           zero_tol: float = ZERO_TOL) -> Polynomial:
+def minimal_polynomial_wrt(A, x) -> Polynomial:
     """Monic minimal polynomial of the skew operator A relative to the vector x.
 
     Product of (t^2 + lam_ell^2) over blocks meeting x, times t when the
     kernel component of x is nonzero.
     """
-    spectrum = skew_spectral_decomposition(A, gap_tol)
+    spectrum = skew_spectral_decomposition(A)
     x = np.asarray(x, dtype=float)
     xnorm = np.linalg.norm(x)
     if xnorm == 0.0:
         return Polynomial([1.0])
     p = Polynomial([1.0])
-    if np.linalg.norm(spectrum.zero_projection @ x) > zero_tol * xnorm:
+    if np.linalg.norm(spectrum.zero_projection @ x) > ZERO_TOL * xnorm:
         p = p * Polynomial([0.0, 1.0])
     for block in spectrum.blocks:
-        if np.linalg.norm(block.projection @ x) > zero_tol * xnorm:
+        if np.linalg.norm(block.projection @ x) > ZERO_TOL * xnorm:
             p = p * Polynomial([block.lam ** 2, 0.0, 1.0])
     return p
 

@@ -22,6 +22,7 @@ from .liealg import (
     sp,
     stabilizer_subalgebra,
     su,
+    su_generators,
 )
 from .reductive import (
     InfinitesimalModel,
@@ -72,13 +73,13 @@ def _matrix_gram(g: LieAlgebra) -> np.ndarray:
     return np.einsum("ipq,jqp->ij", stack, stack, optimize=True)  # tr(A_i A_j)
 
 
-def _coords(g: LieAlgebra, mat, tol: float = 1e-9) -> np.ndarray:
+def _coords(g: LieAlgebra, mat) -> np.ndarray:
     """g-coordinates of a matrix lying in the span of g.matrices."""
     span = np.column_stack([np.asarray(m, float).reshape(-1) for m in g.matrices])
     target = np.asarray(mat, dtype=float).reshape(-1)
     coeff, *_ = np.linalg.lstsq(span, target, rcond=None)
     residual = np.linalg.norm(span @ coeff - target)
-    assert residual < tol * max(1.0, np.linalg.norm(target)), \
+    assert residual < 1e-9 * max(1.0, np.linalg.norm(target)), \
         "matrix does not lie in the algebra: residual %.3e" % residual
     return coeff
 
@@ -164,21 +165,7 @@ def _su_hyperbolic(n: int) -> LieAlgebra:
     2n off-block directions.
     """
     d = n + 1
-    mats = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            m = np.zeros((d, d), dtype=complex)
-            m[p, q], m[q, p] = 1.0, -1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[p, q] = m[q, p] = 1j
-            mats.append(m)
-    for p in range(n - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[p, p], m[p + 1, p + 1] = 1j, -1j
-        mats.append(m)
-    center = 1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)
-    mats.append(center)
+    mats = [1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)]  # the center
     for j in range(n):
         m = np.zeros((d, d), dtype=complex)
         m[j, n] = m[n, j] = 1.0
@@ -186,7 +173,7 @@ def _su_hyperbolic(n: int) -> LieAlgebra:
         m = np.zeros((d, d), dtype=complex)
         m[j, n], m[n, j] = 1j, -1j
         mats.append(m)
-    return from_matrix_algebra([realify(m) for m in mats])
+    return from_matrix_algebra(su_generators(n, d) + [realify(m) for m in mats])
 
 
 def _berger_pieces(n: int, kappa: int):
@@ -194,19 +181,7 @@ def _berger_pieces(n: int, kappa: int):
     if kappa > 0:
         g = su(n + 1)
         form = trace_multiple(g, -0.25)
-        h_cols = []
-        for p in range(n):
-            for q in range(p + 1, n):
-                m = np.zeros((n + 1, n + 1), dtype=complex)
-                m[p, q], m[q, p] = 1.0, -1.0
-                h_cols.append(_coords(g, realify(m)))
-                m = np.zeros((n + 1, n + 1), dtype=complex)
-                m[p, q] = m[q, p] = 1j
-                h_cols.append(_coords(g, realify(m)))
-        for p in range(n - 1):
-            m = np.zeros((n + 1, n + 1), dtype=complex)
-            m[p, p], m[p + 1, p + 1] = 1j, -1j
-            h_cols.append(_coords(g, realify(m)))
+        h_cols = [_coords(g, m) for m in su_generators(n, n + 1)]
         center = 1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)
         z_col = _coords(g, realify(center))
         h = (np.column_stack(h_cols) if h_cols
@@ -235,30 +210,26 @@ def berger_total_space(n: int, s: float, kappa: int = 1) -> ReductiveTriple:
     return extend_fibered(base, h_cols, s)
 
 
-def torsion_block_eigenvalue(model: InfinitesimalModel, x=None,
-                             tol: float = 1e-8) -> float:
-    """The constant nonzero eigenvalue of -tau_x^2.
+def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
+    """The constant nonzero eigenvalue of -tau_x^2, x the last basis
+    direction (the fiber direction of an extended triple).
 
-    x defaults to the last basis direction, the fiber direction of an
-    extended triple.  Raises if the nonzero spectrum is not constant.
+    Raises if the nonzero spectrum is not constant.
     """
-    if x is None:
-        x = np.eye(model.n)[-1]
-    t = model.tau_matrix(x)
+    t = model.tau_matrix(np.eye(model.n)[-1])
     eigs = np.linalg.eigvalsh(-t @ t)
     top = float(eigs[-1])
-    assert top > tol, "tau_x vanishes"
-    block = eigs[eigs > tol * top]
-    assert float(block.max() - block.min()) < tol * top, \
+    assert top > 1e-8, "tau_x vanishes"
+    block = eigs[eigs > 1e-8 * top]
+    assert float(block.max() - block.min()) < 1e-8 * top, \
         "nonzero spectrum of -tau_x^2 is not constant"
     return float(block.mean())
 
 
-def _curvature_spread(model: InfinitesimalModel, samples: int = 24,
-                      seed: int = 0):
-    rng = np.random.default_rng(seed)
+def _curvature_spread(model: InfinitesimalModel):
+    rng = np.random.default_rng(0)
     values = []
-    for _ in range(samples):
+    for _ in range(24):
         x = rng.normal(size=model.n)
         x /= np.linalg.norm(x)
         y = rng.normal(size=model.n)
@@ -269,12 +240,11 @@ def _curvature_spread(model: InfinitesimalModel, samples: int = 24,
     return float(values.max() - values.min()), values
 
 
-def round_parameter(build, lo: float, hi: float, samples: int = 24,
-                    seed: int = 0) -> float:
+def round_parameter(build, lo: float, hi: float) -> float:
     """Parameter in (lo, hi) minimizing the sectional-curvature spread of
     build(s); the round member of a one-parameter family."""
     def spread(s):
-        return _curvature_spread(to_model(build(s)), samples, seed)[0]
+        return _curvature_spread(to_model(build(s)))[0]
     res = minimize_scalar(spread, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     return float(res.x)
@@ -475,19 +445,7 @@ def su4_sphere() -> ReductiveTriple:
     """su(4) modulo the upper-left su(3): the strict normal structure on the
     seven-sphere."""
     g = su(4)
-    h_cols = []
-    for p in range(3):
-        for q in range(p + 1, 3):
-            m = np.zeros((4, 4), dtype=complex)
-            m[p, q], m[q, p] = 1.0, -1.0
-            h_cols.append(_coords(g, realify(m)))
-            m = np.zeros((4, 4), dtype=complex)
-            m[p, q] = m[q, p] = 1j
-            h_cols.append(_coords(g, realify(m)))
-    for p in range(2):
-        m = np.zeros((4, 4), dtype=complex)
-        m[p, p], m[p + 1, p + 1] = 1j, -1j
-        h_cols.append(_coords(g, realify(m)))
+    h_cols = [_coords(g, m) for m in su_generators(3, 4)]
     return build_triple(g, np.column_stack(h_cols), trace_multiple(g, -0.25))
 
 

@@ -118,19 +118,24 @@ def _seed(args) -> int:
 
 
 def _envelope(command, samples, seed, tol):
-    return {
+    """Report header.  samples and tol echo --samples and --tol; a command
+    without the flag passes None and the report leaves the key out."""
+    report = {
         "schema": SCHEMA,
         "command": command,
-        "samples": samples,
         "seed": seed,
         "tolerances": {
-            "residual": tol,
             "constancy": CONSTANCY_TOL,
             "vanish": VANISH_TOL,
             "coefficient": COEFF_TOL,
         },
         "wall_time": None,
     }
+    if samples is not None:
+        report["samples"] = samples
+    if tol is not None:
+        report["tolerances"]["residual"] = tol
+    return report
 
 
 def build_report(name, model, expected, samples, seed, tol, given=None):
@@ -210,16 +215,41 @@ def render_text(report, elapsed) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _markdown_table(header, rows):
+    lines = ["| %s |" % " | ".join(header), "|" + "---|" * len(header)]
+    lines += ["| %s |" % " | ".join("%s" % cell for cell in row) for row in rows]
+    return lines + [""]
+
+
 def render_markdown(report, elapsed) -> str:
     space = report.get("space", {})
     lines = ["## %s" % space.get("id", report["command"]), ""]
+    if "torsion_class" in report:
+        lines += ["torsion class %s" % report["torsion_class"], ""]
+    if "relative_trace_free_norm" in report:
+        lines += ["R_%d trace-free part: %.3e (tol %g)"
+                  % (report["degree"] + 1, report["relative_trace_free_norm"],
+                     report["tolerances"]["residual"]), ""]
+    if "sweep" in report:
+        lines += _markdown_table(
+            ["s", "fitted c^2", "candidate c^2", "vcp1", "vcp2", "vcp3",
+             "matrix identity"],
+            [["%g" % r["s"], r["fitted_c_squared"] or "-", r["candidate_c_squared"]]
+             + ["%.2e" % r["residuals"][key]
+                for key in ("vcp1", "vcp2", "vcp3", "matrix_identity")]
+             for r in report["sweep"]])
+    if "entries" in report:
+        lines += _markdown_table(
+            ["id", "dim", "scal", "expected", "note"],
+            [[r["id"], r["dimension"], r["scalar_curvature"],
+              " ".join(r["expected"]) if r["expected"] else "-", r["note"]]
+             for r in report["entries"]])
     expected = report.get("expected")
     if expected and expected.get("table"):
-        lines += ["| coefficient | expected | computed | abs diff |",
-                  "|---|---|---|---|"]
-        for label, want, got, diff in expected["table"]:
-            lines.append("| %s | %s | %s | %.3e |" % (label, want, got, diff))
-        lines.append("")
+        lines += _markdown_table(
+            ["coefficient", "expected", "computed", "abs diff"],
+            [[label, want, got, "%.3e" % diff]
+             for label, want, got, diff in expected["table"]])
     ljr = report.get("ljr")
     if ljr and not ljr["exists"]:
         lines.append("relation none: no linear Jacobi relation found")
@@ -254,7 +284,7 @@ def _parse_grid(text):
 
 
 def _cmd_catalog(args):
-    report = _envelope("catalog", args.samples, _seed(args), args.tol)
+    report = _envelope("catalog", None, _seed(args), None)
     rows = []
     for e in entries():
         model = e.build()
@@ -290,7 +320,7 @@ def _cmd_minpoly(args):
 def _cmd_gvcp(args):
     model = entry(args.id).build()
     seed = _seed(args)
-    report = _envelope("gvcp", args.samples, seed, args.tol)
+    report = _envelope("gvcp", None, seed, None)
     cls = classify_gvcp(ThreeForm(model.tau), seed=seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["torsion_class"] = cls
@@ -299,7 +329,7 @@ def _cmd_gvcp(args):
 
 def _cmd_appendix(args):
     seed = _seed(args)
-    report = _envelope("appendix", args.samples, seed, args.tol)
+    report = _envelope("appendix", None, seed, None)
     rows = []
     for s in _parse_grid(args.s_grid):
         tau = ThreeForm(aloff_wallach_n11(float(s)).tau)
@@ -325,7 +355,7 @@ def _cmd_appendix(args):
 def _cmd_twistor(args):
     model = entry(args.id).build()
     seed = _seed(args)
-    report = _envelope("twistor", args.samples, seed, args.tol)
+    report = _envelope("twistor", None, seed, args.tol)
     rel = verify_twistor(JacobiFamily(model), args.d, seed=seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["degree"] = args.d
@@ -366,49 +396,55 @@ def _parser():
                     "built-in catalog of naturally reductive spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol):
-        p.add_argument("--samples", type=int, default=64)
+    def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="default: REDUCTIVE_LAB_SEED or 0")
-        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--json", action="store_true", dest="as_json")
         p.add_argument("--markdown", action="store_true")
 
+    def relation_flags(p):
+        p.add_argument("--samples", type=int, default=64)
+        p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+
     p = sub.add_parser("catalog", help="list registry entries")
-    common(p, RESIDUAL_TOL)
+    common(p)
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("verify", help="check a given relation polynomial")
     p.add_argument("id")
     p.add_argument("--poly", required=True,
                    help="comma-separated a2,a4,... of the monic odd polynomial")
-    common(p, RESIDUAL_TOL)
+    relation_flags(p)
+    common(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("minpoly", help="compute the minimal relation")
     p.add_argument("id")
-    common(p, RESIDUAL_TOL)
+    relation_flags(p)
+    common(p)
     p.set_defaults(fn=_cmd_minpoly)
 
     p = sub.add_parser("gvcp", help="classify the torsion form")
     p.add_argument("id")
-    common(p, RESIDUAL_TOL)
+    common(p)
     p.set_defaults(fn=_cmd_gvcp)
 
     p = sub.add_parser("appendix", help="sweep the 7-dim family parameter")
     p.add_argument("--s-grid", required=True, help="lo:hi:count")
-    common(p, RESIDUAL_TOL)
+    common(p)
     p.set_defaults(fn=_cmd_appendix)
 
     p = sub.add_parser("twistor", help="trace-free check above a relation")
     p.add_argument("id")
     p.add_argument("--d", type=int, required=True)
-    common(p, 1e-7)
+    p.add_argument("--tol", type=float, default=1e-7)
+    common(p)
     p.set_defaults(fn=_cmd_twistor)
 
     p = sub.add_parser("custom", help="run the pipeline on a JSON triple")
     p.add_argument("file")
-    common(p, RESIDUAL_TOL)
+    relation_flags(p)
+    common(p)
     p.set_defaults(fn=_cmd_custom)
     return parser
 

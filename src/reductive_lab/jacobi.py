@@ -33,7 +33,8 @@ from .algebra import (
     operator_on_symmetric,
     skew_spectral_decomposition,
 )
-from .reductive import InfinitesimalModel, ReductiveTriple, jacobi_operator, ricci
+from .reductive import (InfinitesimalModel, ReductiveTriple, _orthogonal_complement,
+                        jacobi_operator, ricci)
 
 __all__ = [
     "InsufficientSamples",
@@ -67,15 +68,12 @@ class PolarizationRankDeficient(ValueError):
     pass
 
 
-def sample_vectors(n: int, count: int = 64, seed: int = 0,
-                   special: bool = True) -> np.ndarray:
+def sample_vectors(n: int, count: int = 64, seed: int = 0) -> np.ndarray:
     """Unit sample plan: `count` fixed-seed unit vectors, the basis vectors,
     and all normalized pairwise basis sums."""
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(count, n))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
-    if not special:
-        return xs
     extra = [np.eye(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -99,10 +97,9 @@ class JacobiFamily:
     Every computed R_k(X) is checked to be symmetric and to annihilate X.
     """
 
-    def __init__(self, model: InfinitesimalModel, check_tol: float = 1e-9):
+    def __init__(self, model: InfinitesimalModel):
         self.model = model
         self.n = model.n
-        self.check_tol = check_tol
         self._cache = {}
 
     def operators(self, x, k: int) -> list:
@@ -119,8 +116,8 @@ class JacobiFamily:
 
     def _check(self, op, x):
         scale = max(1.0, float(np.linalg.norm(op)))
-        assert np.max(np.abs(op - op.T)) < self.check_tol * scale
-        assert np.max(np.abs(op @ x)) < self.check_tol * scale * max(
+        assert np.max(np.abs(op - op.T)) < 1e-9 * scale
+        assert np.max(np.abs(op @ x)) < 1e-9 * scale * max(
             1.0, float(np.linalg.norm(x)))
 
 
@@ -229,8 +226,6 @@ class LjrVerdict:
 
 
 def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
-                gap_tol: float = 1e-6, constancy_tol: float = CONSTANCY_TOL,
-                vanish_tol: float = VANISH_TOL,
                 residual_tol: float = RESIDUAL_TOL) -> LjrVerdict:
     """Detect a linear Jacobi relation and assemble its minimal polynomial.
 
@@ -257,7 +252,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
         budget -= 1
         tau = model.tau_matrix(x)
         try:
-            spec = skew_spectral_decomposition(tau, gap_tol=gap_tol)
+            spec = skew_spectral_decomposition(tau)
         except DegenerateSpectrum:
             v = rng.normal(size=n)
             queue.append(v / np.linalg.norm(v))
@@ -287,8 +282,8 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     lam = np.array([rec[0] for rec in accepted])  # (N, r)
     keys = sorted(accepted[0][1])
     max_rel = {key: max(rec[1][key] for rec in accepted) for key in keys}
-    vanish = {key: max_rel[key] < vanish_tol for key in keys}
-    vanish_bar = {key: max(rec[2][key] for rec in accepted) < vanish_tol
+    vanish = {key: max_rel[key] < VANISH_TOL for key in keys}
+    vanish_bar = {key: max(rec[2][key] for rec in accepted) < VANISH_TOL
                   for key in keys}
     # the torsion-square part is block-diagonal, so the off-diagonal verdicts
     # must agree whether computed from R_0 or from the curvature term alone
@@ -318,7 +313,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
             std, mean = rel_std(lam[:, l - 1] - lam[:, k - 1])
         else:
             std, mean = rel_std(lam[:, l - 1] + lam[:, k - 1])
-        if std >= constancy_tol:
+        if std >= CONSTANCY_TOL:
             failures.append({"component": key, "max_relnorm": max_rel[key],
                              "eigenvalue_rel_std": std})
         else:
@@ -338,7 +333,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
 
     distinct = []
     for v in sorted(factors):
-        if not distinct or v - distinct[-1] > constancy_tol * max(v, 1.0):
+        if not distinct or v - distinct[-1] > CONSTANCY_TOL * max(v, 1.0):
             distinct.append(v)
     eigen_structure["factors"] = distinct
     q = Polynomial([1.0])
@@ -368,38 +363,27 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
     x = np.asarray(x, dtype=float)
     assert np.linalg.norm(x) > 0
     n = family.n
-    q, _ = np.linalg.qr(np.column_stack([x, np.eye(n)]))
-    q = q[:, 1:n]
+    q = _orthogonal_complement(x[:, None])
     tau = q.T @ family.model.tau_matrix(x) @ q
     mat = operator_on_symmetric(lambda s: 0.5 * (s @ tau - tau @ s), n - 1)
     p = characteristic_polynomial(mat)
     assert p.degree == comb(n, 2)
-    r0 = family.operators(x, 0)[0]
-    norm = float(np.linalg.norm(r0))
-    if norm > 1e-14:
-        t = family.model.tau_matrix(x)
-        term, total = r0, p.coefficients[0] * r0
-        for a in p.coefficients[1:]:
-            term = 0.5 * (term @ t - t @ term)
-            total = total + a * term
-        assert float(np.linalg.norm(total)) / norm < tol, \
-            "universal relation residual %.3e" % (np.linalg.norm(total) / norm)
+    residual = check_ljr(family, p, samples=x[None, :])
+    assert residual < tol, "universal relation residual %.3e" % residual
     return p
 
 
-def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16,
-                              seed: int = 0,
-                              grid=(0.5, 1.0, 2.0)) -> float:
+def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16) -> float:
     """Max deviation of a scalar function of X under the isotropy flows
-    exp(t ad_h)."""
+    exp(t ad_h), t in {0.5, 1, 2}."""
     n = triple.dim_m
-    xs = sample_vectors(n, count=samples, seed=seed)
+    xs = sample_vectors(n, count=samples)
     base = [fn(x) for x in xs]
     # ads[i] is ad(h_i) on m: column b is [h_i, m_b]_m
     ads = triple.m_component(triple.g.brackets(triple.h_basis, triple.m_basis))
     worst = 0.0
     for ad in ads.transpose(0, 2, 1):
-        for t in grid:
+        for t in (0.5, 1.0, 2.0):
             rot = expm(t * ad)
             for x, b in zip(xs, base):
                 worst = max(worst, abs(fn(rot @ x) - b))
@@ -529,12 +513,11 @@ def trace_free_part(t, k: int) -> np.ndarray:
     return full.reshape((n,) * (m + 2))
 
 
-def _polarize_compressed(family: JacobiFamily, d: int, seed: int,
-                         samples: int):
+def _polarize_compressed(family: JacobiFamily, d: int, seed: int):
     """Compressed coordinates of the full multilinear tensor of R_(d+1),
     recovered by polarizing over basis-vector sums with multiset memoization.
     Raises PolarizationRankDeficient when the polarized tensor fails to
-    reproduce the diagonal values it came from."""
+    reproduce the diagonal values it came from at four random unit vectors."""
     n = family.n
     m = d + 3
     cache = {}
@@ -561,7 +544,7 @@ def _polarize_compressed(family: JacobiFamily, d: int, seed: int,
 
     mults = _weights(n, m) ** 2
     rng = np.random.default_rng(seed)
-    for _ in range(max(1, samples)):
+    for _ in range(4):
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
         monomials = np.array([np.prod(x[list(a)]) for a in a_sets])
@@ -580,15 +563,14 @@ def _polarize_compressed(family: JacobiFamily, d: int, seed: int,
     return comp.reshape(-1)
 
 
-def verify_twistor(family: JacobiFamily, d: int, samples: int = 4,
-                   seed: int = 0) -> float:
+def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
     """Relative Frobenius norm of the trace-free part of the full R_(d+1)
     tensor.  Zero certifies that the degree-d relation forces R_(d+1) to be
     built entirely from metric terms."""
     assert d >= 0
     if d > 5:
         raise ValueError("polarization stencils are only supported for d <= 5")
-    vec = _polarize_compressed(family, d, seed, samples)
+    vec = _polarize_compressed(family, d, seed)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         return 0.0

@@ -26,6 +26,7 @@ __all__ = [
     "realify",
     "quaternion_to_complex",
     "su",
+    "su_generators",
     "so",
     "u",
     "sp",
@@ -160,8 +161,8 @@ class BilinearForm:
         cb = g.tensor @ self.matrix  # cb[z] = ad(e_z)^T B
         return float(np.max(np.abs(cb + cb.transpose(0, 2, 1)), initial=0.0))
 
-    def is_invariant(self, g: LieAlgebra, tol: float = 1e-9) -> bool:
-        return self.invariance_residual(g) <= tol
+    def is_invariant(self, g: LieAlgebra) -> bool:
+        return self.invariance_residual(g) <= 1e-9
 
     def scaled(self, factor: float) -> "BilinearForm":
         return BilinearForm(factor * self.matrix, name=self.name)
@@ -170,8 +171,7 @@ class BilinearForm:
         return "BilinearForm(%r, dim=%d)" % (self.name, self.matrix.shape[0])
 
 
-def from_matrix_algebra(matrices, labels=None, tol: float = 1e-9,
-                        jacobi_tol: float = JACOBI_TOL) -> LieAlgebra:
+def from_matrix_algebra(matrices) -> LieAlgebra:
     """Lie algebra spanned by real matrices, closed under commutator.
 
     Structure constants come from expanding commutators in the generator
@@ -191,12 +191,11 @@ def from_matrix_algebra(matrices, labels=None, tol: float = 1e-9,
     residual = np.linalg.norm(coords @ span.T - comm, axis=1)
     if residual.size:
         worst = int(np.argmax(residual))
-        if residual[worst] > tol * scale ** 2:
+        if residual[worst] > 1e-9 * scale ** 2:
             raise NotClosed("[m%d, m%d] leaves the span: residual %.3e"
                             % (i[worst], j[worst], residual[worst]))
     p, k = np.nonzero(np.abs(coords) > 1e-12)
-    g = LieAlgebra(d, zip(i[p], j[p], k, coords[p, k]), labels=labels,
-                   jacobi_tol=jacobi_tol)
+    g = LieAlgebra(d, zip(i[p], j[p], k, coords[p, k]))
     g.matrices = mats
     return g
 
@@ -257,7 +256,7 @@ def orthocomplement(g: LieAlgebra, subspace, B: BilinearForm) -> np.ndarray:
     return comp
 
 
-def orthonormalize(vectors, B: BilinearForm, tol: float = 1e-10) -> np.ndarray:
+def orthonormalize(vectors, B: BilinearForm) -> np.ndarray:
     """Modified Gram-Schmidt against B with one re-orthogonalization pass.
 
     Requires B positive definite on the span; raises DegenerateRestriction on
@@ -272,7 +271,7 @@ def orthonormalize(vectors, B: BilinearForm, tol: float = 1e-10) -> np.ndarray:
             for q in out:
                 w -= (q @ m @ w) * q
         norm2 = float(w @ m @ w)
-        if norm2 < tol:
+        if norm2 < 1e-10:
             raise DegenerateRestriction(
                 "vector has non-positive B-norm %.3e during Gram-Schmidt" % norm2)
         out.append(w / np.sqrt(norm2))
@@ -322,22 +321,29 @@ def quaternion_to_complex(a, b, c, d) -> np.ndarray:
     return (np.kron(a, one) + np.kron(b, qi) + np.kron(c, qj) + np.kron(d, qk))
 
 
-def su(n: int) -> LieAlgebra:
-    """su(n), realified defining representation."""
+def su_generators(n: int, size: int) -> list:
+    """Realified generators of su(n) in the upper-left block of size x size
+    complex matrices: E_pq - E_qp and i(E_pq + E_qp) for p < q, then
+    i(E_pp - E_(p+1)(p+1))."""
     mats = []
     for p in range(n):
         for q in range(p + 1, n):
-            e = np.zeros((n, n), dtype=complex)
+            e = np.zeros((size, size), dtype=complex)
             e[p, q], e[q, p] = 1.0, -1.0
             mats.append(e)
-            e = np.zeros((n, n), dtype=complex)
+            e = np.zeros((size, size), dtype=complex)
             e[p, q] = e[q, p] = 1j
             mats.append(e)
     for p in range(n - 1):
-        e = np.zeros((n, n), dtype=complex)
+        e = np.zeros((size, size), dtype=complex)
         e[p, p], e[p + 1, p + 1] = 1j, -1j
         mats.append(e)
-    return from_matrix_algebra([realify(m) for m in mats])
+    return [realify(m) for m in mats]
+
+
+def su(n: int) -> LieAlgebra:
+    """su(n), realified defining representation."""
+    return from_matrix_algebra(su_generators(n, n))
 
 
 def u(n: int) -> LieAlgebra:

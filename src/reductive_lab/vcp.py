@@ -44,12 +44,12 @@ def _perm_sign(perm):
 class ThreeForm:
     """Alternating 3-form, stored as the full antisymmetric array."""
 
-    def __init__(self, values, tol: float = 1e-12):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         assert values.ndim == 3 and len(set(values.shape)) == 1
         scale = max(1.0, float(np.abs(values).max()))
         for axes in [(1, 0, 2), (0, 2, 1)]:
-            if np.abs(values + values.transpose(axes)).max() > tol * scale:
+            if np.abs(values + values.transpose(axes)).max() > 1e-12 * scale:
                 raise ValueError("coefficients are not totally antisymmetric")
         self.n = values.shape[0]
         self.values = values
@@ -121,53 +121,50 @@ def _orthonormal_pairs(n: int, count: int, seed: int):
         yield x, y
 
 
-def is_vcp(sigma: ThreeForm, samples: int = 48, seed: int = 0,
-           tol: float = SPECTRUM_TOL):
-    """Test |sigma_X Y|^2 = 1 on orthonormal pairs.
+def is_vcp(sigma: ThreeForm, seed: int = 0):
+    """Test |sigma_X Y|^2 = 1 on 48 orthonormal pairs.
 
     Returns (verdict, max deviation).
     """
     worst = 0.0
-    for x, y in _orthonormal_pairs(sigma.n, samples, seed):
+    for x, y in _orthonormal_pairs(sigma.n, 48, seed):
         v = sigma.apply(x, y)
         worst = max(worst, abs(float(v @ v) - 1.0))
-    return worst < tol, worst
+    return worst < SPECTRUM_TOL, worst
 
 
-def is_gvcp(tau: ThreeForm, samples: int = 48, seed: int = 0,
-            rel_tol: float = SPECTRUM_TOL):
-    """Constant spectrum of -tau_X^2 over unit X, or None.
+def is_gvcp(tau: ThreeForm, seed: int = 0):
+    """Constant spectrum of -tau_X^2 over 48 unit X, or None.
 
     The zero form does not qualify.
     """
     if tau.norm() < 1e-14:
         return None
     specs = []
-    for x in _unit_samples(tau.n, samples, seed):
+    for x in _unit_samples(tau.n, 48, seed):
         m = tau.matrix(x)
         specs.append(np.sort(np.linalg.eigvalsh(-(m @ m))))
     specs = np.array(specs)
     mean = specs.mean(axis=0)
     scale = max(float(specs.max()), 1e-300)
-    if float(np.abs(specs - mean).max()) > rel_tol * scale:
+    if float(np.abs(specs - mean).max()) > SPECTRUM_TOL * scale:
         return None
     return mean
 
 
-def classify_gvcp(tau: ThreeForm, samples: int = 48, seed: int = 0,
-                  rel_tol: float = SPECTRUM_TOL) -> str:
+def classify_gvcp(tau: ThreeForm, seed: int = 0) -> str:
     """Match the constant spectrum against the three model patterns.
 
     Scale never matters: conjugacy classes are tested only through the
     multiplicity pattern of -tau_X^2.
     """
-    spectrum = is_gvcp(tau, samples=samples, seed=seed, rel_tol=rel_tol)
+    spectrum = is_gvcp(tau, seed=seed)
     if spectrum is None:
         return NOT_GVCP
     top = float(spectrum.max())
-    kernel = int(np.sum(spectrum < rel_tol * top))
+    kernel = int(np.sum(spectrum < SPECTRUM_TOL * top))
     rest = spectrum[kernel:]
-    equal = float(np.abs(rest - rest.mean()).max()) < rel_tol * top
+    equal = float(np.abs(rest - rest.mean()).max()) < SPECTRUM_TOL * top
     if tau.n == 3 and kernel == 1 and equal:
         return VOLUME_TYPE3
     if tau.n == 7 and kernel == 1 and equal:
@@ -177,21 +174,20 @@ def classify_gvcp(tau: ThreeForm, samples: int = 48, seed: int = 0,
     return NOT_GVCP
 
 
-def fit_vcp_multiple(tau: ThreeForm, samples: int = 48, seed: int = 0,
-                     tol: float = SPECTRUM_TOL):
+def fit_vcp_multiple(tau: ThreeForm, seed: int = 0):
     """Scale c with c*tau a vector cross product, or None.
 
-    c is fitted as 1/median of |tau_X Y| over orthonormal pairs, so a
+    c is fitted as 1/median of |tau_X Y| over 48 orthonormal pairs, so a
     single aligned pair cannot skew the verdict.
     """
     assert tau.n in (3, 7)
     norms = [float(np.linalg.norm(tau.apply(x, y)))
-             for x, y in _orthonormal_pairs(tau.n, samples, seed)]
+             for x, y in _orthonormal_pairs(tau.n, 48, seed)]
     med = float(np.median(norms))
     if med < 1e-12:
         return None
     c = 1.0 / med
-    ok, _ = is_vcp(tau.scaled(c), samples=samples, seed=seed + 1, tol=tol)
+    ok, _ = is_vcp(tau.scaled(c), seed=seed + 1)
     return c if ok else None
 
 
@@ -230,15 +226,14 @@ def _pair_norm(x) -> float:
     return float(np.sqrt(max(_su2_inner(u, u) + np.real(np.vdot(a, a)), 0.0)))
 
 
-def appendix_component_checks(s: float, samples: int = 24,
-                              seed: int = 0) -> dict:
+def appendix_component_checks(s: float, seed: int = 0) -> dict:
     """Residuals of the three quadratic cross-product identities.
 
     The model is su(2) (+) C^2 with the residual bracket of the
     one-parameter family of reductive splittings; the candidate scale
-    is always c^2 = s + 1.  Returns per-identity maxima together with
-    the 2x2 matrix identity AX + XA = tr(AX) id + tr(X) A used to
-    derive them.
+    is always c^2 = s + 1.  Returns per-identity maxima over 24 random
+    samples, together with the 2x2 matrix identity
+    AX + XA = tr(AX) id + tr(X) A used to derive them.
     """
     if abs(s) < 1e-12 or abs(s + 1.0) < 1e-12:
         raise InvalidS("the splitting degenerates at s in {0, -1}")
@@ -255,7 +250,7 @@ def appendix_component_checks(s: float, samples: int = 24,
 
     worst = {"vcp1": 0.0, "vcp2": 0.0, "vcp3": 0.0, "matrix_identity": 0.0}
     zero2 = np.zeros(2, dtype=complex)
-    for _ in range(samples):
+    for _ in range(24):
         A, a = unit_su2(), unit_c2()
         B, b = unit_su2(), unit_c2()
 

@@ -1,0 +1,132 @@
+"""Static guard: every defaulted parameter in src/ is set by some caller.
+
+A default that no call in src/, tests/ or perfbench/ overrides is a
+constant spelled as an option; write the value in the body instead.
+Calls are matched to definitions by name (a class name reaches its
+__init__).  A positional argument sets the parameter in its position, a
+starred argument counts as one position, a keyword sets its parameter,
+and `**kw` passed on from a function's own `**kw` carries the keywords
+that the callers of that function pass; any other `**mapping` sets every
+parameter.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# The metric normalisation of a preset space is part of its geometry, like
+# the s of a Berger sphere, so these stay parameters with or without callers.
+GEOMETRY_PARAMETERS = {
+    "catalog.s3_x_s3(form_scale)",
+    "catalog.s6_round(form_scale)",
+    "catalog.spin7_sphere(form_scale)",
+    "catalog.squashed_s7(form_scale)",
+    "catalog.v1_space(form_scale)",
+    "catalog.v3_space(form_scale)",
+    "catalog.sp2_sp1_sphere(form_scale)",
+}
+
+
+class _Scan(ast.NodeVisitor):
+    def __init__(self, module, in_src, defs, calls):
+        self.module, self.in_src, self.defs, self.calls = module, in_src, defs, calls
+        self.scope = []  # enclosing classes and functions, innermost last
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        a = node.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        method = bool(self.scope) and isinstance(self.scope[-1], ast.ClassDef) \
+            and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        self.defs.append({
+            "key": ".".join([self.module] + [s.name for s in self.scope] + [node.name]),
+            "src": self.in_src,
+            "name": self.scope[-1].name if method and node.name == "__init__" else node.name,
+            "positional": positional[1:] if method else positional,
+            "named": set(positional) | {p.arg for p in a.kwonlyargs},
+            "defaulted": positional[len(positional) - len(a.defaults):]
+            + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None],
+            "kwarg": a.kwarg.arg if a.kwarg else None,
+        })
+        self.scope.append(node)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is not None:
+            enclosing = next((s for s in reversed(self.scope)
+                              if isinstance(s, ast.FunctionDef)), None)
+            forwards, spread = [], False
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    continue
+                if (enclosing is not None and enclosing.args.kwarg is not None
+                        and getattr(kw.value, "id", None) == enclosing.args.kwarg.arg):
+                    forwards.append(enclosing.name)
+                else:
+                    spread = True
+            self.calls.append({
+                "name": name, "positional": len(node.args),
+                "keywords": {kw.arg for kw in node.keywords if kw.arg is not None},
+                "forwards": forwards, "spread": spread,
+            })
+        self.generic_visit(node)
+
+
+def audit():
+    """(all defaulted parameters of src/, those set by no caller)."""
+    defs, calls = [], []
+    for tree in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            _Scan(path.stem, tree == "src", defs, calls).visit(ast.parse(path.read_text()))
+    by_name = {}
+    for d in defs:
+        by_name.setdefault(d["name"], []).append(d)
+
+    # keywords reaching each function's **kw, iterated to a fixed point
+    incoming = {d["name"]: set() for d in defs if d["kwarg"]}
+    changed = True
+    while changed:
+        changed = False
+        for call in calls:
+            if call["name"] not in incoming:
+                continue
+            got = set(call["keywords"])
+            for source in call["forwards"]:
+                got |= incoming.get(source, set())
+            if call["spread"]:
+                got.add("*")
+            if not got <= incoming[call["name"]]:
+                incoming[call["name"]] |= got
+                changed = True
+
+    everything = ["%s(%s)" % (d["key"], p) for d in defs if d["src"] for p in d["defaulted"]]
+    set_somewhere = set()
+    for call in calls:
+        passed = set(call["keywords"])
+        for source in call["forwards"]:
+            passed |= incoming.get(source, set())
+        for d in by_name.get(call["name"], []):
+            reached = set(d["positional"][:call["positional"]]) | passed
+            if call["spread"] or "*" in passed:
+                reached |= d["named"]
+            set_somewhere |= {"%s(%s)" % (d["key"], p) for p in reached}
+    return everything, [p for p in everything if p not in set_somewhere]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    everything, never_set = audit()
+    assert everything, "the scan found no defaulted parameter at all"
+    assert sorted(set(never_set) - GEOMETRY_PARAMETERS) == []
+
+
+def test_geometry_allowlist_names_real_parameters():
+    everything, _ = audit()
+    assert GEOMETRY_PARAMETERS <= set(everything)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from reductive_lab import cli
+from reductive_lab.catalog import entries
 
 OSCILLATOR = {
     "name": "oscillator:n=1,c=1",
@@ -203,6 +204,79 @@ class TestCustom:
         path.write_text(json.dumps(spec))
         code, _, _ = run(capsys, "custom", str(path))
         assert code == 1
+
+
+class TestMarkdown:
+    @pytest.mark.parametrize("argv, result", [
+        (["gvcp", "np:v3"], r"^torsion class G2Type7$"),
+        (["twistor", "np:v1", "--d", "1"], r"^R_2 trace-free part: \S+ \(tol 1e-07\)$"),
+        (["appendix", "--s-grid", "1:2:2"], r"^\| 2 \| - \| 3 \| \S+ \| \S+ \| \S+ \| \S+ \|$"),
+        (["catalog"], r"^\| nk:flag \| 6 \| 30 \| 1 0 1.25 0 0.25 0 \| order-4 "),
+    ], ids=["gvcp", "twistor", "appendix", "catalog"])
+    def test_result_rendered(self, capsys, argv, result):
+        code, out, _ = run(capsys, *argv, "--markdown")
+        assert code in (0, 1)
+        assert re.search(result, out, re.M), out
+
+
+FIXED_IDS = [e.name for e in entries()]
+FORMATS = {"text": [], "json": ["--json"], "markdown": ["--markdown"]}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("argv", [
+        ["gvcp", "np:v3", "--samples", "8"],
+        ["gvcp", "np:v3", "--tol", "1e-3"],
+        ["appendix", "--s-grid", "1:2:2", "--samples", "8"],
+        ["appendix", "--s-grid", "1:2:2", "--tol", "1e-3"],
+        ["catalog", "--samples", "8"],
+        ["catalog", "--tol", "1e-3"],
+        ["twistor", "np:v1", "--d", "1", "--samples", "8"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_unread_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gvcp", "np:v3"],
+        ["appendix", "--s-grid", "1:2:2"],
+        ["catalog"],
+        ["twistor", "np:v1", "--d", "1"],
+    ], ids=["gvcp", "appendix", "catalog", "twistor"])
+    def test_json_echoes_only_own_flags(self, capsys, argv):
+        _, out, _ = run(capsys, *argv, "--json", "--seed", "5")
+        report = json.loads(out)
+        assert report["seed"] == 5
+        assert "samples" not in report
+        assert ("residual" in report["tolerances"]) == (argv[0] == "twistor")
+
+    def test_relation_commands_echo_samples_and_tol(self, capsys):
+        _, out, _ = run(capsys, "minpoly", "nk:s6", "--json", "--samples", "16",
+                        "--tol", "1e-6")
+        report = json.loads(out)
+        assert report["samples"] == 16
+        assert report["tolerances"]["residual"] == 1e-6
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("argv", [
+        ["catalog"],
+        ["minpoly", "nk:s6"],
+        ["verify", "nk:flag", "--poly", "5/4,1/4"],
+        ["appendix", "--s-grid", "1:2:2"],
+        ["twistor", "np:v1", "--d", "1"],
+        ["custom", "OSCILLATOR"],
+    ] + [["gvcp", ident] for ident in FIXED_IDS], ids=lambda argv: "-".join(argv[:2]))
+    def test_every_command_renders(self, capsys, tmp_path, argv, fmt):
+        if argv[-1] == "OSCILLATOR":
+            path = tmp_path / "oscillator.json"
+            path.write_text(json.dumps(OSCILLATOR))
+            argv = argv[:-1] + [str(path)]
+        code, out, err = run(capsys, *argv, *FORMATS[fmt])
+        assert code in (0, 1)
+        assert out.strip()
+        assert "Traceback" not in err
 
 
 class TestErrors:
