@@ -33,6 +33,17 @@ GAP_TOL = 1e-6
 ZERO_TOL = 1e-10
 
 
+def check_close(actual, desired, atol: float, err_msg: str = "") -> None:
+    """Raise AssertionError unless |actual - desired| <= atol + 1e-7 |desired|
+    entry-wise: the bound and message layout of numpy's assert_allclose,
+    without importing numpy.testing, and kept under python -O."""
+    diff = np.abs(np.asarray(actual) - desired)
+    if not np.all(diff <= atol + 1e-7 * np.abs(desired)):
+        raise AssertionError("Not equal to tolerance rtol=1e-07, atol=%g\n%s\n"
+                             "Max absolute difference: %.3g"
+                             % (atol, err_msg, float(np.max(diff))))
+
+
 class NotSkew(ValueError):
     """Raised when an operator expected to be skew-symmetric is not."""
 
@@ -159,11 +170,11 @@ class SkewSpectrum:
         frames = [self.zero_space] + [b.basis for b in self.blocks]
         q = np.hstack([f for f in frames if f.shape[1] > 0])
         assert q.shape == (self.dim, self.dim), "blocks and kernel must span"
-        np.testing.assert_allclose(q.T @ q, np.eye(self.dim), atol=RESIDUAL_TOL)
+        check_close(q.T @ q, np.eye(self.dim), RESIDUAL_TOL)
         for b in self.blocks:
             assert b.basis.shape[1] % 2 == 0
-            np.testing.assert_allclose(b.j @ b.j, -b.projection, atol=RESIDUAL_TOL)
-            np.testing.assert_allclose(b.j @ b.projection, b.j, atol=RESIDUAL_TOL)
+            check_close(b.j @ b.j, -b.projection, RESIDUAL_TOL)
+            check_close(b.j @ b.projection, b.j, RESIDUAL_TOL)
 
 
 def _cluster_breaks(values: np.ndarray, gap_tol: float):
@@ -230,7 +241,7 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
     blocks.sort(key=lambda b: b.lam)
     spectrum = SkewSpectrum(zero_space, blocks)
     # a block with mu below gap_tol merges into the kernel and is lost here;
-    # the bound is that of assert_allclose(atol=RESIDUAL_TOL * scale)
+    # the bound is that of check_close(atol=RESIDUAL_TOL * scale)
     residual = np.abs(spectrum.reconstruct() - A)
     if np.any(residual > RESIDUAL_TOL * scale + 1e-7 * np.abs(A)):
         raise DegenerateSpectrum("blocks do not reconstruct the operator: residual %.3e"

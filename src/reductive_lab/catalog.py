@@ -8,8 +8,6 @@ are the stable CLI names, e.g. ``nk:flag`` or ``berger:n=2,s=1``.
 """
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize_scalar
 
 from .algebra import Polynomial
 from .liealg import (
@@ -17,6 +15,7 @@ from .liealg import (
     LieAlgebra,
     direct_sum,
     from_matrix_algebra,
+    null_space,
     realify,
     so,
     sp,
@@ -243,6 +242,8 @@ def _curvature_spread(model: InfinitesimalModel):
 def round_parameter(build, lo: float, hi: float) -> float:
     """Parameter in (lo, hi) minimizing the sectional-curvature spread of
     build(s); the round member of a one-parameter family."""
+    from scipy.optimize import minimize_scalar
+
     def spread(s):
         return _curvature_spread(to_model(build(s)))[0]
     res = minimize_scalar(spread, bounds=(lo, hi), method="bounded",
@@ -398,7 +399,7 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
             w[idx // 4, idx % 4] = 1.0
             op[:, idx] = (a.T @ w + w @ a).reshape(-1)
         rows.append(op)
-    pairing = null_space(np.vstack(rows), rcond=1e-10)
+    pairing = null_space(np.vstack(rows))
     assert pairing.shape[1] == 1
     omega = pairing[:, 0].reshape(4, 4)
     assert np.max(np.abs(omega + omega.T)) < 1e-9
@@ -419,7 +420,7 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
         val = (m.T @ omega + omega @ m).reshape(-1)
         cond[:16, idx] = val.real
         cond[16:, idx] = val.imag
-    coeff = null_space(cond, rcond=1e-10)
+    coeff = null_space(cond)
     assert coeff.shape[1] == 10
     mats = [realify(sum(float(c) * m for c, m in zip(col, u4)))
             for col in coeff.T]
@@ -490,7 +491,7 @@ class CatalogEntry:
     def build(self) -> InfinitesimalModel:
         built = self._builder(**self.params)
         if isinstance(built, ReductiveTriple):
-            built = to_model(built)
+            built = built.model if built.model is not None else to_model(built)
         return built
 
     def __repr__(self):

@@ -29,7 +29,8 @@ from .jacobi import (
 )
 from .liealg import algebra_from_json
 from .reductive import build_triple, scalar_curvature, to_model
-from .vcp import ThreeForm, appendix_component_checks, classify_gvcp, fit_vcp_multiple
+from .vcp import (SPECTRUM_TOL, ThreeForm, appendix_component_checks, classify_gvcp,
+                  fit_vcp_multiple)
 
 SCHEMA = "reductive-lab/1"
 COEFF_TOL = 1e-7
@@ -117,31 +118,27 @@ def _seed(args) -> int:
     return int(os.environ.get("REDUCTIVE_LAB_SEED", "0"))
 
 
-def _envelope(command, samples, seed, tol):
-    """Report header.  samples and tol echo --samples and --tol; a command
-    without the flag passes None and the report leaves the key out."""
+def _envelope(command, seed, tolerances, samples=None):
+    """Report header.  tolerances holds those the command applies, --tol
+    among them; samples echoes --samples, and a command without that flag
+    leaves the key out."""
     report = {
         "schema": SCHEMA,
         "command": command,
         "seed": seed,
-        "tolerances": {
-            "constancy": CONSTANCY_TOL,
-            "vanish": VANISH_TOL,
-            "coefficient": COEFF_TOL,
-        },
+        "tolerances": tolerances,
         "wall_time": None,
     }
     if samples is not None:
         report["samples"] = samples
-    if tol is not None:
-        report["tolerances"]["residual"] = tol
     return report
 
 
 def build_report(name, model, expected, samples, seed, tol, given=None):
     """Full-pipeline report: torsion class, LJR verdict, comparison table."""
-    report = _envelope("verify" if given is not None else "minpoly",
-                       samples, seed, tol)
+    report = _envelope("verify" if given is not None else "minpoly", seed,
+                       {"constancy": CONSTANCY_TOL, "vanish": VANISH_TOL,
+                        "coefficient": COEFF_TOL, "residual": tol}, samples)
     verdict = minimal_ljr(JacobiFamily(model), samples=samples, seed=seed,
                           residual_tol=tol)
     report["space"] = {"id": name, "dimension": model.n}
@@ -284,7 +281,7 @@ def _parse_grid(text):
 
 
 def _cmd_catalog(args):
-    report = _envelope("catalog", None, _seed(args), None)
+    report = _envelope("catalog", _seed(args), {})
     rows = []
     for e in entries():
         model = e.build()
@@ -320,7 +317,7 @@ def _cmd_minpoly(args):
 def _cmd_gvcp(args):
     model = entry(args.id).build()
     seed = _seed(args)
-    report = _envelope("gvcp", None, seed, None)
+    report = _envelope("gvcp", seed, {"spectrum": SPECTRUM_TOL})
     cls = classify_gvcp(ThreeForm(model.tau), seed=seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["torsion_class"] = cls
@@ -329,7 +326,7 @@ def _cmd_gvcp(args):
 
 def _cmd_appendix(args):
     seed = _seed(args)
-    report = _envelope("appendix", None, seed, None)
+    report = _envelope("appendix", seed, {"spectrum": SPECTRUM_TOL})
     rows = []
     for s in _parse_grid(args.s_grid):
         tau = ThreeForm(aloff_wallach_n11(float(s)).tau)
@@ -355,7 +352,7 @@ def _cmd_appendix(args):
 def _cmd_twistor(args):
     model = entry(args.id).build()
     seed = _seed(args)
-    report = _envelope("twistor", None, seed, args.tol)
+    report = _envelope("twistor", seed, {"residual": args.tol})
     rel = verify_twistor(JacobiFamily(model), args.d, seed=seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["degree"] = args.d

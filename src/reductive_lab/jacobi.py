@@ -22,9 +22,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import lsmr
 
 from .algebra import (
     DegenerateSpectrum,
@@ -376,6 +373,8 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
 def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16) -> float:
     """Max deviation of a scalar function of X under the isotropy flows
     exp(t ad_h), t in {0.5, 1, 2}."""
+    from scipy.linalg import expm
+
     n = triple.dim_m
     xs = sample_vectors(n, count=samples)
     base = [fn(x) for x in xs]
@@ -430,6 +429,8 @@ def _full_index_map(n, m):
 @lru_cache(maxsize=None)
 def _contraction_matrix(n, k):
     """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords."""
+    from scipy.sparse import csr_matrix
+
     m = k + 2
     a_sets, a_idx, a_w = _msets(n, m), _mset_index(n, m), _weights(n, m)
     b_sets, b_idx, b_w = _msets(n, 2), _mset_index(n, 2), _weights(n, 2)
@@ -472,6 +473,8 @@ def _contraction_matrix(n, k):
 
 def _project_traces(n, k, vec):
     """Orthogonal projection onto the joint kernel of all contractions."""
+    from scipy.sparse.linalg import lsmr
+
     mat = _contraction_matrix(n, k)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-300:

@@ -9,7 +9,6 @@ matrices.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag, null_space
 
 __all__ = [
     "JACOBI_TOL",
@@ -23,6 +22,7 @@ __all__ = [
     "orthocomplement",
     "orthonormalize",
     "direct_sum",
+    "null_space",
     "realify",
     "quaternion_to_complex",
     "su",
@@ -161,14 +161,20 @@ class BilinearForm:
         cb = g.tensor @ self.matrix  # cb[z] = ad(e_z)^T B
         return float(np.max(np.abs(cb + cb.transpose(0, 2, 1)), initial=0.0))
 
-    def is_invariant(self, g: LieAlgebra) -> bool:
-        return self.invariance_residual(g) <= 1e-9
-
     def scaled(self, factor: float) -> "BilinearForm":
         return BilinearForm(factor * self.matrix, name=self.name)
 
     def __repr__(self):
         return "BilinearForm(%r, dim=%d)" % (self.name, self.matrix.shape[0])
+
+
+def null_space(a) -> np.ndarray:
+    """Orthonormal kernel basis of a real or complex matrix, as columns.
+
+    Singular values up to 1e-10 of the largest count as zero."""
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(sv > np.amax(sv, initial=0.0) * 1e-10))
+    return vh[rank:].conj().T
 
 
 def from_matrix_algebra(matrices) -> LieAlgebra:
@@ -224,7 +230,7 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
             cols.append(dt.reshape(-1))
         rows.append(np.column_stack(cols))
     system = np.vstack(rows)
-    kernel = null_space(system, rcond=1e-10)
+    kernel = null_space(system)
     if kernel.shape[1] == 0:
         return kernel
     # closure check: brackets of kernel elements stay inside the kernel span
@@ -251,7 +257,7 @@ def orthocomplement(g: LieAlgebra, subspace, B: BilinearForm) -> np.ndarray:
     gram = s.T @ B.matrix @ s
     if s.shape[1] and np.linalg.matrix_rank(gram, tol=1e-10) < s.shape[1]:
         raise DegenerateRestriction("B restricts degenerately to the subspace")
-    comp = null_space(s.T @ B.matrix, rcond=1e-10)
+    comp = null_space(s.T @ B.matrix)
     assert comp.shape[1] == g.dim - s.shape[1]
     return comp
 
@@ -292,12 +298,14 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
             brackets[(i + off, j + off, k + off)] = val
     out = LieAlgebra(total, brackets, labels=labels)
     if all(g.matrices is not None for g in algebras):
+        sizes = [np.shape(g.matrices[0])[0] for g in algebras]
+        starts = np.concatenate([[0], np.cumsum(sizes)])
         out.matrices = []
-        for idx, g in enumerate(algebras):
+        for g, lo, hi in zip(algebras, starts, starts[1:]):
             for m in g.matrices:
-                parts = [np.zeros_like(np.asarray(h.matrices[0])) if i != idx
-                         else m for i, h in enumerate(algebras)]
-                out.matrices.append(block_diag(*parts))
+                block = np.zeros((starts[-1], starts[-1]))
+                block[lo:hi, lo:hi] = m
+                out.matrices.append(block)
     return out
 
 

@@ -11,9 +11,10 @@ oracle on the round 3-sphere in the tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .liealg import (BilinearForm, LieAlgebra, orthocomplement, orthonormalize)
+from .algebra import check_close
+from .liealg import (BilinearForm, LieAlgebra, null_space, orthocomplement,
+                     orthonormalize)
 
 __all__ = [
     "NotReductive",
@@ -80,6 +81,7 @@ class ReductiveTriple:
         self.B = B
         self.m_basis = np.asarray(m_basis, dtype=float)
         self.dim_m = self.m_basis.shape[1]
+        self.model = None  # set by extend_fibered, whose postcondition builds it
         self.check()
 
     def m_component(self, v) -> np.ndarray:
@@ -93,12 +95,11 @@ class ReductiveTriple:
 
     def check(self) -> None:
         g, h, m, B = self.g, self.h_basis, self.m_basis, self.B
-        np.testing.assert_allclose(m.T @ B.matrix @ m, np.eye(self.dim_m),
-                                   atol=1e-10, err_msg="m-basis not B-orthonormal")
+        check_close(m.T @ B.matrix @ m, np.eye(self.dim_m), 1e-10,
+                    err_msg="m-basis not B-orthonormal")
         if h.shape[1]:
-            np.testing.assert_allclose(h.T @ B.matrix @ m,
-                                       np.zeros((h.shape[1], self.dim_m)),
-                                       atol=1e-10, err_msg="h and m not B-orthogonal")
+            check_close(h.T @ B.matrix @ m, np.zeros((h.shape[1], self.dim_m)), 1e-10,
+                        err_msg="h and m not B-orthogonal")
         worst_hh = float(np.max(np.abs(self.m_component(g.brackets(h, h))), initial=0.0))
         worst_hm = float(np.max(np.abs(g.brackets(h, m) @ (B.matrix @ h)), initial=0.0))
         if worst_hh > 1e-9:
@@ -351,7 +352,7 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     # fiber directions: B-orthocomplement of h inside k
     k_gram = k_basis.T @ B.matrix @ k_basis
     h_in_k = k_pinv @ h_normal
-    z_in_k = _nullspace(h_in_k.T @ k_gram)
+    z_in_k = null_space(h_in_k.T @ k_gram)
     z_cols = k_basis @ z_in_k
     q = z_cols.shape[1]
     if q != 1 and not allow_higher_fiber:
@@ -384,12 +385,8 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     mhat[d:, triple.dim_m:] = -s * scale * np.eye(q)
 
     extended = build_triple(ghat, khat, bhat, m_basis=mhat)
-    _verify_extension(triple, extended, z_cols, s, sign, q)
+    extended.model = _verify_extension(triple, extended, z_cols, s, sign, q)
     return extended
-
-
-def _nullspace(a):
-    return null_space(a, rcond=1e-10)
 
 
 def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: float):
@@ -409,8 +406,8 @@ def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: fl
 
 
 def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
-                      z_cols, s: float, sign: float, q: int) -> None:
-    """Postcondition of extend_fibered.
+                      z_cols, s: float, sign: float, q: int) -> InfinitesimalModel:
+    """Postcondition of extend_fibered; returns the model of the extension.
 
     Horizontal torsion is unchanged and the vertical part is the isotropy
     action of the fiber directions scaled by 1/sqrt(|1+s|); for a 1-dim
@@ -419,21 +416,22 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     n = base.dim_m
     model = to_model(extended)
     base_model = to_model(base)
-    np.testing.assert_allclose(model.tau[:n, :n, :n], base_model.tau, atol=1e-9,
-                               err_msg="horizontal torsion changed")
+    check_close(model.tau[:n, :n, :n], base_model.tau, 1e-9,
+                err_msg="horizontal torsion changed")
     denom = np.sqrt(sign * (1.0 + s))
     # rhos[a] is the isotropy action of z_a on m: column b is [z_a, m_b]_m
     rhos = base.m_component(base.g.brackets(z_cols, base.m_basis)).transpose(0, 2, 1)
     # tau_hat(x, y, w_a) = -<rho_a x, y> / sqrt(|1+s|)
-    np.testing.assert_allclose(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom,
-                               atol=1e-9, err_msg="vertical torsion wrong")
+    check_close(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom, 1e-9,
+                err_msg="vertical torsion wrong")
     if q == 1:
         assert np.max(np.abs(model.tau[:, n:, n:])) < 1e-9
         rho = rhos[0]
         form = rho.T  # form[i, j] = <rho e_i, e_j>
         expected_r = base_model.rbar + \
             np.einsum("ij,ab->ijab", form, rho) / (sign * (1.0 + s))
-        np.testing.assert_allclose(model.rbar[:n, :n, :n, :n], expected_r,
-                                   atol=1e-9, err_msg="horizontal curvature wrong")
+        check_close(model.rbar[:n, :n, :n, :n], expected_r, 1e-9,
+                    err_msg="horizontal curvature wrong")
         assert np.max(np.abs(model.rbar[n:, :, :, :])) < 1e-9
         assert np.max(np.abs(model.rbar[:, :, n:, :])) < 1e-9
+    return model

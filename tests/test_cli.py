@@ -9,6 +9,8 @@ import pytest
 
 from reductive_lab import cli
 from reductive_lab.catalog import entries
+from reductive_lab.jacobi import CONSTANCY_TOL, RESIDUAL_TOL, VANISH_TOL
+from reductive_lab.vcp import SPECTRUM_TOL
 
 OSCILLATOR = {
     "name": "oscillator:n=1,c=1",
@@ -220,6 +222,8 @@ class TestMarkdown:
 
 
 FIXED_IDS = [e.name for e in entries()]
+RELATION_TOLERANCES = {"constancy": CONSTANCY_TOL, "vanish": VANISH_TOL,
+                       "coefficient": cli.COEFF_TOL, "residual": RESIDUAL_TOL}
 FORMATS = {"text": [], "json": ["--json"], "markdown": ["--markdown"]}
 
 
@@ -251,6 +255,23 @@ class TestFlagSurface:
         assert report["seed"] == 5
         assert "samples" not in report
         assert ("residual" in report["tolerances"]) == (argv[0] == "twistor")
+
+    @pytest.mark.parametrize("argv, tolerances", [
+        (["minpoly", "nk:s6"], RELATION_TOLERANCES),
+        (["verify", "nk:flag", "--poly", "5/4,1/4"], RELATION_TOLERANCES),
+        (["custom", "OSCILLATOR"], RELATION_TOLERANCES),
+        (["gvcp", "np:v3"], {"spectrum": SPECTRUM_TOL}),
+        (["appendix", "--s-grid", "1:2:2"], {"spectrum": SPECTRUM_TOL}),
+        (["twistor", "np:v1", "--d", "1", "--tol", "1e-6"], {"residual": 1e-6}),
+        (["catalog"], {}),
+    ], ids=["minpoly", "verify", "custom", "gvcp", "appendix", "twistor", "catalog"])
+    def test_json_echoes_applied_tolerances(self, capsys, tmp_path, argv, tolerances):
+        if argv[-1] == "OSCILLATOR":
+            path = tmp_path / "oscillator.json"
+            path.write_text(json.dumps(OSCILLATOR))
+            argv = argv[:-1] + [str(path)]
+        _, out, _ = run(capsys, *argv, "--json")
+        assert json.loads(out)["tolerances"] == tolerances
 
     def test_relation_commands_echo_samples_and_tol(self, capsys):
         _, out, _ = run(capsys, "minpoly", "nk:s6", "--json", "--samples", "16",

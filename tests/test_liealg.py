@@ -121,6 +121,18 @@ class TestDirectSum:
         np.testing.assert_allclose(g.bracket(e0, e1)[:3],
                                    a.bracket(np.eye(3)[0], np.eye(3)[1]), atol=1e-14)
 
+    def test_matrices_are_block_diagonal(self):
+        a, b = su(2), so(3)
+        g = direct_sum(a, b)
+        assert len(g.matrices) == a.dim + b.dim
+        for k, m in enumerate(g.matrices):
+            want = np.zeros((7, 7))
+            if k < a.dim:
+                want[:4, :4] = a.matrices[k]
+            else:
+                want[4:, 4:] = b.matrices[k - a.dim]
+            assert np.array_equal(m, want)
+
 
 class TestKillingForm:
     def test_su2_is_four_times_complex_trace_form(self):
@@ -196,6 +208,44 @@ def _u2_in_su3(g):
         coords, *_ = np.linalg.lstsq(span, realify(m).reshape(-1), rcond=None)
         mats.append(coords)
     return np.column_stack(mats)
+
+
+_RNG = np.random.default_rng(11)
+NULL_SPACE_CASES = {
+    "real": _RNG.normal(size=(3, 5)),
+    "rank-deficient": _RNG.normal(size=(6, 2)) @ _RNG.normal(size=(2, 5)),
+    "complex": _RNG.normal(size=(3, 4)) + 1j * _RNG.normal(size=(3, 4)),
+    "complex-rank-deficient": (_RNG.normal(size=(5, 2)) + 1j * _RNG.normal(size=(5, 2)))
+    @ (_RNG.normal(size=(2, 4)) + 1j * _RNG.normal(size=(2, 4))),
+    "full-rank": _RNG.normal(size=(6, 4)),
+    "zero": np.zeros((2, 3)),
+    "no-rows": np.zeros((0, 3)),
+    "no-columns": np.zeros((3, 0)),
+    "empty": np.zeros((0, 0)),
+}
+
+
+class TestNullSpace:
+    """liealg.null_space against scipy.linalg.null_space at the same rcond;
+    scipy serves only as the oracle here."""
+
+    @pytest.mark.parametrize("name", sorted(NULL_SPACE_CASES))
+    def test_matches_scipy(self, name):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        a = NULL_SPACE_CASES[name]
+        want = scipy_linalg.null_space(a, rcond=1e-10)
+        got = liealg.null_space(a)
+        assert got.shape == want.shape
+        # kernel bases are unique only up to a unitary change of basis
+        diff = got @ got.conj().T - want @ want.conj().T
+        assert np.max(np.abs(diff), initial=0.0) < 1e-12
+
+    def test_expected_kernel_dimensions(self):
+        dims = {name: liealg.null_space(a).shape for name, a in NULL_SPACE_CASES.items()}
+        assert dims == {"real": (5, 2), "rank-deficient": (5, 3), "complex": (4, 1),
+                        "complex-rank-deficient": (4, 2), "full-rank": (4, 0),
+                        "zero": (3, 3), "no-rows": (3, 3), "no-columns": (0, 0),
+                        "empty": (0, 0)}
 
 
 class TestOrthonormalize:
