@@ -8,6 +8,8 @@ is double precision; exact rational input is converted once on entry.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -20,6 +22,8 @@ __all__ = [
     "Polynomial",
     "SkewBlock",
     "SkewSpectrum",
+    "SkewSpectra",
+    "skew_spectra",
     "skew_spectral_decomposition",
     "minimal_polynomial_wrt",
     "characteristic_polynomial",
@@ -177,76 +181,105 @@ class SkewSpectrum:
             check_close(b.j @ b.projection, b.j, RESIDUAL_TOL)
 
 
-def _cluster_breaks(values: np.ndarray, gap_tol: float):
-    """Split a sorted array into clusters separated by more than gap_tol."""
-    clusters = []
-    start = 0
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > gap_tol:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, values.size))
-    return clusters
+# Skew spectral splits of a stack of skew operators, as arrays.  Row i is
+# usable when reasons[i] is None.  Its block count is counts[i],
+# lams[i, :counts[i]] are the block values in increasing order,
+# projections[0, i] projects onto the kernel and projections[k, i] onto
+# block k, whose complex structure is js[k - 1, i]; recon[i] is
+# sum_k lam_k J_k pi_k.  Eigenvector column c of vecs[i] lies in block
+# labels[i, c] (0 for the kernel).  Rows with fewer blocks carry zero arrays
+# in the unused slots; a degenerate row carries the reason in place of None.
+SkewSpectra = namedtuple("SkewSpectra",
+                         "vecs labels counts lams projections js recon reasons")
+
+
+def _degenerate_reason(padded, labels, gap_tol):
+    """Why the clustered eigenvalues of one row admit no split, or None."""
+    for k in range(labels[-1] + 1):
+        vals = padded[labels == k]
+        if vals.max() - vals.min() > gap_tol / 10.0:
+            return ("eigenvalue cluster of -A^2 spans [%.3e, %.3e] at gap_tol %.1e"
+                    % (vals.min(), vals.max(), gap_tol))
+        if k and vals.size % 2:
+            return ("eigenspace of -A^2 at %.6g has odd dimension %d"
+                    % (float(np.mean(vals)), vals.size))
+    return None
+
+
+def skew_spectra(As, gap_tol: float = GAP_TOL) -> SkewSpectra:
+    """Decompose every skew-symmetric A of a stack (N, n, n) via -A^2.
+
+    The eigenvalues of -A^2 come from one stacked eigh and are clustered
+    with gap_tol; the cluster at zero is the kernel, each positive cluster
+    mu = lam^2 carries the complex structure J = A/lam.  A row is marked
+    degenerate when a cluster is smeared, an eigenspace cannot carry a
+    complex structure (odd multiplicity), or the blocks do not reconstruct
+    A.  Raises NotSkew when some A is not skew.
+    """
+    As = np.asarray(As, dtype=float)
+    count, n = As.shape[0], As.shape[-1]
+    scale = np.maximum(1.0, np.linalg.norm(As, axis=(1, 2)))
+    asym = np.linalg.norm(As + As.transpose(0, 2, 1), axis=(1, 2))
+    bad = np.flatnonzero(asym > RESIDUAL_TOL * scale)
+    if bad.size:
+        raise NotSkew("operator is not skew-symmetric: ||A + A^T|| = %.3e"
+                      % asym[bad[0]])
+
+    m = -(As @ As)
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    mu, vecs = np.linalg.eigh(m)
+    mu = np.maximum(mu, 0.0)
+    # Virtual eigenvalue 0 is prepended so the kernel cluster is detected by
+    # the same gap rule even when A is invertible; label 0 is the kernel.
+    padded = np.concatenate([np.zeros((count, 1)), mu], axis=1)
+    labels = np.concatenate([np.zeros((count, 1), dtype=int),
+                             np.cumsum(np.diff(padded, axis=1) > gap_tol, axis=1)], axis=1)
+    counts = labels[:, -1]
+    rmax = int(counts.max(initial=0))
+    onehot = labels[:, :, None] == np.arange(rmax + 1)  # (N, n + 1, rmax + 1)
+    sizes = onehot.sum(axis=1)
+    lo = np.where(onehot, padded[:, :, None], np.inf).min(axis=1)
+    hi = np.where(onehot, padded[:, :, None], -np.inf).max(axis=1)
+    suspect = np.any(hi - lo > gap_tol / 10.0, axis=1) | np.any(sizes[:, 1:] % 2 == 1, axis=1)
+    reasons = [_degenerate_reason(padded[i], labels[i], gap_tol) if suspect[i] else None
+               for i in range(count)]
+
+    sums = np.einsum("ni,nik->nk", padded, onehot.astype(float))
+    lams = np.sqrt(sums[:, 1:] / np.maximum(sizes[:, 1:], 1))
+    masks = onehot[:, 1:].transpose(2, 0, 1)  # (rmax + 1, N, n), eigenvector columns
+    projections = (vecs * masks[:, :, None, :]) @ vecs.transpose(0, 2, 1)
+    safe = np.where(lams > 0, lams, 1.0).T[:, :, None, None]
+    js = (As @ projections[1:]) / safe
+    recon = np.sum(safe * (js @ projections[1:]), axis=0)
+
+    ok = np.array([r is None for r in reasons], dtype=bool)
+    check_close(vecs[ok].transpose(0, 2, 1) @ vecs[ok], np.eye(n), RESIDUAL_TOL)
+    check_close(js[:, ok] @ js[:, ok], -projections[1:, ok], RESIDUAL_TOL)
+    check_close(js[:, ok] @ projections[1:, ok], js[:, ok], RESIDUAL_TOL)
+    # a block with mu below gap_tol merges into the kernel and is lost here;
+    # the bound is that of check_close(atol=RESIDUAL_TOL * scale)
+    residual = np.abs(recon - As)
+    lost = np.any(residual > RESIDUAL_TOL * scale[:, None, None] + 1e-7 * np.abs(As),
+                  axis=(1, 2))
+    for i in np.flatnonzero(ok & lost):
+        reasons[i] = ("blocks do not reconstruct the operator: residual %.3e"
+                      % float(np.max(residual[i])))
+    return SkewSpectra(vecs, labels[:, 1:], counts, lams, projections, js, recon, reasons)
 
 
 def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
-    """Decompose a skew-symmetric A via the symmetric PSD operator -A^2.
-
-    Eigenvalues of -A^2 are clustered with gap_tol; the cluster at zero is the
-    kernel, each positive cluster mu = lam^2 carries the complex structure
-    J = A/lam.  Raises DegenerateSpectrum when clusters are smeared or an
-    eigenspace cannot carry a complex structure (odd multiplicity).
+    """Decompose a skew-symmetric A via the symmetric PSD operator -A^2: the
+    one-row case of skew_spectra.  Raises NotSkew, or DegenerateSpectrum
+    when the clusters of -A^2 admit no split (the caller should resample
+    rather than trust it).
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A + A.T) > RESIDUAL_TOL * scale:
-        raise NotSkew("operator is not skew-symmetric: ||A + A^T|| = %.3e"
-                      % np.linalg.norm(A + A.T))
-
-    m = -(A @ A)
-    m = 0.5 * (m + m.T)
-    mu, vecs = np.linalg.eigh(m)
-    mu = np.maximum(mu, 0.0)
-
-    # Virtual eigenvalue 0 is prepended so the kernel cluster is detected by
-    # the same gap rule even when A is invertible.
-    padded = np.concatenate([[0.0], mu])
-    order = np.argsort(padded)
-    clusters = _cluster_breaks(padded[order], gap_tol)
-
-    zero_space = np.zeros((n, 0))
-    blocks = []
-    for start, end in clusters:
-        idx = [order[i] - 1 for i in range(start, end) if order[i] > 0]
-        vals = padded[order[start:end]]
-        if vals.max() - vals.min() > gap_tol / 10.0:
-            raise DegenerateSpectrum(
-                "eigenvalue cluster of -A^2 spans [%.3e, %.3e] at gap_tol %.1e"
-                % (vals.min(), vals.max(), gap_tol))
-        contains_zero = any(order[i] == 0 for i in range(start, end))
-        if contains_zero:
-            zero_space = vecs[:, idx]
-            continue
-        if len(idx) % 2 != 0:
-            raise DegenerateSpectrum(
-                "eigenspace of -A^2 at %.6g has odd dimension %d"
-                % (float(np.mean(vals)), len(idx)))
-        lam = float(np.sqrt(np.mean(vals)))
-        basis = vecs[:, idx]
-        projection = basis @ basis.T
-        j = (A @ projection) / lam
-        blocks.append(SkewBlock(lam, basis, j, projection))
-
-    blocks.sort(key=lambda b: b.lam)
-    spectrum = SkewSpectrum(zero_space, blocks)
-    # a block with mu below gap_tol merges into the kernel and is lost here;
-    # the bound is that of check_close(atol=RESIDUAL_TOL * scale)
-    residual = np.abs(spectrum.reconstruct() - A)
-    if np.any(residual > RESIDUAL_TOL * scale + 1e-7 * np.abs(A)):
-        raise DegenerateSpectrum("blocks do not reconstruct the operator: residual %.3e"
-                                 % float(np.max(residual)))
-    return spectrum
+    sp = skew_spectra(np.asarray(A, dtype=float)[None], gap_tol)
+    if sp.reasons[0] is not None:
+        raise DegenerateSpectrum(sp.reasons[0])
+    vecs, labels = sp.vecs[0], sp.labels[0]
+    blocks = [SkewBlock(sp.lams[0, k - 1], vecs[:, labels == k], sp.js[k - 1, 0],
+                        sp.projections[k, 0]) for k in range(1, sp.counts[0] + 1)]
+    return SkewSpectrum(vecs[:, labels == 0], blocks)
 
 
 def minimal_polynomial_wrt(A, x) -> Polynomial:

@@ -251,6 +251,11 @@ def round_parameter(build, lo: float, hi: float) -> float:
     return float(res.x)
 
 
+def _model_of(triple: ReductiveTriple) -> InfinitesimalModel:
+    """The model of a triple: the one extend_fibered stored, else built."""
+    return triple.model if triple.model is not None else to_model(triple)
+
+
 def berger_consistency(n: int, s: float) -> dict:
     """Fiber-circle consistency data for the positive-curvature family.
 
@@ -261,11 +266,11 @@ def berger_consistency(n: int, s: float) -> dict:
     star = -0.5 * (n - 1) / n
     g, k_cols, h_cols, form = _berger_pieces(n, 1)
     base = build_triple(g, k_cols, form)
-    ext = to_model(extend_fibered(base, h_cols, s))
+    ext = _model_of(extend_fibered(base, h_cols, s))
     c2 = torsion_block_eigenvalue(ext)
 
-    round_model = to_model(extend_fibered(base, h_cols, star)
-                           if star != 0.0 else build_triple(g, h_cols, form))
+    round_model = _model_of(extend_fibered(base, h_cols, star)
+                            if star != 0.0 else build_triple(g, h_cols, form))
     spread, values = _curvature_spread(round_model)
     assert spread < 1e-8 * max(1.0, abs(values[0]))
     r2_round = 1.0 / float(values.mean())
@@ -490,9 +495,7 @@ class CatalogEntry:
 
     def build(self) -> InfinitesimalModel:
         built = self._builder(**self.params)
-        if isinstance(built, ReductiveTriple):
-            built = built.model if built.model is not None else to_model(built)
-        return built
+        return _model_of(built) if isinstance(built, ReductiveTriple) else built
 
     def __repr__(self):
         return "CatalogEntry(%r)" % self.name

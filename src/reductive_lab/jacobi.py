@@ -24,14 +24,12 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import (
-    DegenerateSpectrum,
     Polynomial,
     characteristic_polynomial,
     operator_on_symmetric,
-    skew_spectral_decomposition,
+    skew_spectra,
 )
-from .reductive import (InfinitesimalModel, ReductiveTriple, _orthogonal_complement,
-                        jacobi_operator, ricci)
+from .reductive import InfinitesimalModel, ReductiveTriple, _orthogonal_complement
 
 __all__ = [
     "InsufficientSamples",
@@ -88,34 +86,59 @@ def t_apply(model: InfinitesimalModel, x, s) -> np.ndarray:
     return 0.5 * (s @ t - t @ s)
 
 
+# rows of a stacked batch are processed in chunks of at most this many
+# doubles per (rows, n, n) array, so batch memory stays O(n^2) per sample
+# without ever holding a whole plan's components at once
+CHUNK_DOUBLES = 1 << 15
+
+
+def _row_chunks(count: int, per_row: int):
+    """Consecutive slices of range(count), each of at most CHUNK_DOUBLES
+    doubles at per_row doubles a row (and at least one row)."""
+    step = max(1, CHUNK_DOUBLES // max(1, per_row))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 class JacobiFamily:
-    """Symmetrized curvature derivatives of a model, cached per base vector.
+    """Symmetrized curvature derivatives R_k(X) = T_X^k R_0(X) of a model,
+    computed for stacks of base vectors X.
 
     Every computed R_k(X) is checked to be symmetric and to annihilate X.
     """
 
     def __init__(self, model: InfinitesimalModel):
         self.model = model
-        self.n = model.n
-        self._cache = {}
+        self.n = n = model.n
+        # rbar[u, j, a, b] with rows (j, b) and columns (a, u), so that the
+        # curvature terms of a stack are its outer products x (x) x times this
+        self._curvature = model.rbar.transpose(1, 3, 2, 0).reshape(n * n, n * n)
+
+    def curvature_terms(self, xs) -> np.ndarray:
+        """rbar(., X)X for every row X of xs, shape (N, n, n)."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
+        outer = (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), self.n * self.n)
+        return (outer @ self._curvature).reshape(-1, self.n, self.n)
+
+    def stack(self, xs, k: int) -> np.ndarray:
+        """R_0(X), ..., R_k(X) for every row X of xs, shape (N, k+1, n, n)."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
+        t = self.model.tau_matrix(xs)
+        ops = np.empty((len(xs), k + 1, self.n, self.n))
+        ops[:, 0] = self.curvature_terms(xs) - 0.25 * (t @ t)
+        for i in range(1, k + 1):
+            ops[:, i] = 0.5 * (ops[:, i - 1] @ t - t @ ops[:, i - 1])
+        scale = np.maximum(1.0, np.linalg.norm(ops, axis=(2, 3)))
+        if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) >= 1e-9 * scale):
+            raise AssertionError("R_k(X) is not symmetric")
+        xnorm = np.maximum(1.0, np.linalg.norm(xs, axis=1))[:, None]
+        image = ops @ xs[:, None, :, None]
+        if np.any(np.max(np.abs(image), axis=(2, 3)) >= 1e-9 * scale * xnorm):
+            raise AssertionError("R_k(X) does not annihilate X")
+        return ops
 
     def operators(self, x, k: int) -> list:
-        x = np.asarray(x, dtype=float)
-        ops = self._cache.setdefault(x.tobytes(), [])
-        if not ops:
-            ops.append(jacobi_operator(self.model, x))
-            self._check(ops[0], x)
-        t = self.model.tau_matrix(x)
-        while len(ops) <= k:
-            ops.append(0.5 * (ops[-1] @ t - t @ ops[-1]))
-            self._check(ops[-1], x)
-        return ops[: k + 1]
-
-    def _check(self, op, x):
-        scale = max(1.0, float(np.linalg.norm(op)))
-        assert np.max(np.abs(op - op.T)) < 1e-9 * scale
-        assert np.max(np.abs(op @ x)) < 1e-9 * scale * max(
-            1.0, float(np.linalg.norm(x)))
+        """[R_0(X), ..., R_k(X)] for one X: the one-row case of stack."""
+        return list(self.stack(x, k)[0])
 
 
 def scd(family: JacobiFamily, x, k: int) -> np.ndarray:
@@ -125,9 +148,9 @@ def scd(family: JacobiFamily, x, k: int) -> np.ndarray:
 
 
 def curvature_term(model: InfinitesimalModel, x) -> np.ndarray:
-    """rbar(., X)X alone, i.e. R_0(X) without the torsion-square part."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("ujab,j,b->au", model.rbar, x, x)
+    """rbar(., X)X alone, i.e. R_0(X) without the torsion-square part: the
+    one-row case of JacobiFamily.curvature_terms."""
+    return JacobiFamily(model).curvature_terms(x)[0]
 
 
 def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
@@ -138,18 +161,15 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
     xs = samples if isinstance(samples, np.ndarray) else \
         sample_vectors(family.n, count=samples, seed=seed)
     worst = 0.0
-    for x in xs:
-        r0 = family.operators(x, 0)[0]
-        norm = float(np.linalg.norm(r0))
-        if norm < 1e-14:
-            continue
-        t = family.model.tau_matrix(x)
-        term = r0
-        total = p.coefficients[0] * r0
-        for a in p.coefficients[1:]:
-            term = 0.5 * (term @ t - t @ term)
-            total = total + a * term
-        worst = max(worst, float(np.linalg.norm(total)) / norm)
+    for rows in _row_chunks(len(xs), (p.degree + 1) * family.n ** 2):
+        ops = family.stack(xs[rows], p.degree)
+        norm = np.linalg.norm(ops[:, 0], axis=(1, 2))
+        total = p.coefficients[0] * ops[:, 0]
+        for i, a in enumerate(p.coefficients[1:], start=1):
+            total = total + a * ops[:, i]
+        keep = norm >= 1e-14
+        rel = np.linalg.norm(total[keep], axis=(1, 2)) / norm[keep]
+        worst = max(worst, float(np.max(rel, initial=0.0)))
     return worst
 
 
@@ -160,49 +180,55 @@ def component_split(spectrum, s) -> dict:
     "k,l:(2,0)+(0,2)" for 1 <= k <= l.  Each component is an eigenvector of
     -(A star)^2 = -[A, [A, .]] with eigenvalue 0, lambda_k^2,
     (lambda_l - lambda_k)^2, (lambda_l + lambda_k)^2 respectively; this and
-    the completeness of the splitting are verified on every call.
+    the completeness of the splitting are verified on every call.  The
+    one-row case of the stacked split that minimal_ljr runs.
     """
-    s = np.asarray(s, dtype=float)
     blocks = spectrum.blocks
-    p0 = spectrum.zero_space @ spectrum.zero_space.T
-    parts = {"0,0": p0 @ s @ p0}
-    for k, bk in enumerate(blocks, start=1):
-        pk = bk.projection
-        parts["0,%d" % k] = p0 @ s @ pk + pk @ s @ p0
-        for l in range(k, len(blocks) + 1):
-            bl = blocks[l - 1]
-            pl = bl.projection
-            if l == k:
-                m = pk @ s @ pk
-                j = bk.j
-            else:
-                m = pk @ s @ pl + pl @ s @ pk
-                j = bk.j + bl.j
-            jmj = j @ m @ j
-            parts["%d,%d:(1,1)" % (k, l)] = 0.5 * (m - jmj)
-            parts["%d,%d:(2,0)+(0,2)" % (k, l)] = 0.5 * (m + jmj)
+    projections = np.array([spectrum.zero_projection] + spectrum.projections)[:, None]
+    js = np.array([b.j for b in blocks]).reshape(len(blocks), 1, spectrum.dim, spectrum.dim)
+    parts = _split_stack(spectrum.reconstruct()[None], projections, js,
+                         spectrum.lams[None], np.asarray(s, dtype=float)[None])
+    return {key: c[0] for key, c in parts}
 
-    a = spectrum.reconstruct()
-    scale = max(1.0, float(np.linalg.norm(s))) * max(
-        [1.0] + [b.lam ** 2 for b in blocks])
+
+def _split_stack(a, projections, js, lams, s):
+    """Components of symmetric S (..., N, n, n) along the skew spectra of a
+    stack A (N, n, n) that all have r = len(js) blocks: projections (r+1,
+    N, n, n) onto the kernel and the blocks, block complex structures js
+    (r, N, n, n), block values lams (N, r).  Yields (key, component) in
+    component_split's order, verifying each component and, after the last,
+    the completeness of the splitting, for every row.
+    """
+    snorm = np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
+    scale = snorm * np.maximum(1.0, np.max(lams ** 2, axis=1, initial=1.0))
     total = np.zeros_like(s)
-    for key, c in parts.items():
+    for key, c, eig in _split_parts(projections, js, lams, s):
+        ac = a @ c - c @ a
+        resid = a @ ac - ac @ a + eig[:, None, None] * c
+        if np.any(np.max(np.abs(resid), axis=(-2, -1)) >= 1e-8 * scale):
+            raise AssertionError("component %s is not a -(A star)^2 eigenvector" % key)
         total += c
-        eig = _component_eigenvalue(key, blocks)
-        resid = a @ (a @ c - c @ a) - (a @ c - c @ a) @ a + eig * c
-        assert np.max(np.abs(resid)) < 1e-8 * scale, \
-            "component %s is not a -(A star)^2 eigenvector" % key
-    assert np.max(np.abs(total - s)) < 1e-8 * max(1.0, float(np.linalg.norm(s)))
-    return parts
+        yield key, c
+    if np.any(np.max(np.abs(total - s), axis=(-2, -1)) >= 1e-8 * snorm):
+        raise AssertionError("the components do not add up to S")
 
 
-def _component_eigenvalue(key, blocks):
-    pair, _, kind = key.partition(":")
-    k, l = (int(v) for v in pair.split(","))
-    if k == 0:
-        return blocks[l - 1].lam ** 2 if l else 0.0
-    lk, ll = blocks[k - 1].lam, blocks[l - 1].lam
-    return (ll - lk) ** 2 if kind == "(1,1)" else (ll + lk) ** 2
+def _split_parts(projections, js, lams, s):
+    """(key, component, -(A star)^2 eigenvalue per row) of _split_stack."""
+    p0 = projections[0]
+    yield "0,0", p0 @ s @ p0, np.zeros(len(lams))
+    for k in range(1, len(js) + 1):
+        pk, lk = projections[k], lams[:, k - 1]
+        yield "0,%d" % k, p0 @ s @ pk + pk @ s @ p0, lk ** 2
+        for l in range(k, len(js) + 1):
+            pl, ll = projections[l], lams[:, l - 1]
+            if l == k:
+                m, j = pk @ s @ pk, js[k - 1]
+            else:
+                m, j = pk @ s @ pl + pl @ s @ pk, js[k - 1] + js[l - 1]
+            jmj = j @ m @ j
+            yield "%d,%d:(1,1)" % (k, l), 0.5 * (m - jmj), (ll - lk) ** 2
+            yield "%d,%d:(2,0)+(0,2)" % (k, l), 0.5 * (m + jmj), (ll + lk) ** 2
 
 
 class LjrVerdict:
@@ -222,6 +248,38 @@ class LjrVerdict:
             self.polynomial, self.max_residual)
 
 
+def _detect_rows(family: JacobiFamily, xs):
+    """Split R_0(X) and the curvature term of every row X of xs along the
+    skew spectrum of tau_X.
+
+    Returns the block count of every row (-1 where the spectrum is
+    degenerate, -2 where R_0(X) is near zero) and, per block count r, the
+    lambdas (N_r, r), the component keys and the component relnorms of R_0
+    and of the curvature term (N_r, K) of its rows, in row order.
+    """
+    spectra = skew_spectra(family.model.tau_matrix(xs))
+    status = np.where([r is None for r in spectra.reasons], spectra.counts, -1)
+    rows = np.flatnonzero(status >= 0)
+    r0 = family.stack(xs[rows], 0)[:, 0]
+    norm = np.linalg.norm(r0, axis=(1, 2))
+    zero = norm < 1e-14
+    status[rows[zero]] = -2
+    rows, r0, norm = rows[~zero], r0[~zero], norm[~zero]
+    both = np.array([r0, family.curvature_terms(xs[rows])])
+    groups = {}
+    for r in sorted(set(status[rows].tolist())):  # np.unique would import numpy.ma
+        sel = np.flatnonzero(status[rows] == r)
+        at = rows[sel]
+        keys, rel = [], []
+        for key, c in _split_stack(spectra.recon[at], spectra.projections[:r + 1, at],
+                                   spectra.js[:r, at], spectra.lams[at, :r], both[:, sel]):
+            keys.append(key)
+            rel.append(np.linalg.norm(c, axis=(2, 3)) / norm[sel])
+        rel = np.array(rel)  # (K, 2, N_r)
+        groups[r] = (spectra.lams[at, :r], keys, rel[:, 0].T, rel[:, 1].T)
+    return status, groups
+
+
 def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
                 residual_tol: float = RESIDUAL_TOL) -> LjrVerdict:
     """Detect a linear Jacobi relation and assemble its minimal polynomial.
@@ -235,60 +293,65 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     Ricci-flat models where the remainder already verifies.  Samples at
     eigenvalue crossings are discarded and resampled; component verdicts are
     cross-checked against the same split of the curvature term alone.
+
+    Samples are processed as stacks in rounds: first the plan, then the
+    replacements drawn for the degenerate samples of the previous round, in
+    order, within a budget of three samples per plan row.
     """
-    model = family.model
     n = family.n
     xs = samples if isinstance(samples, np.ndarray) else \
         sample_vectors(n, count=samples, seed=seed)
     rng = np.random.default_rng(seed + 0x5eed)
-    accepted = []
     budget = 3 * len(xs)
-    queue = list(xs)
-    while queue and budget > 0:
-        x = queue.pop(0)
-        budget -= 1
-        tau = model.tau_matrix(x)
-        try:
-            spec = skew_spectral_decomposition(tau)
-        except DegenerateSpectrum:
-            v = rng.normal(size=n)
-            queue.append(v / np.linalg.norm(v))
-            continue
-        r0 = family.operators(x, 0)[0]
-        norm = float(np.linalg.norm(r0))
-        if norm < 1e-14:
-            continue
-        comps = component_split(spec, r0)
-        comps_bar = component_split(spec, curvature_term(model, x))
-        rel = {key: float(np.linalg.norm(c)) / norm for key, c in comps.items()}
-        rel_bar = {key: float(np.linalg.norm(c)) / norm
-                   for key, c in comps_bar.items()}
-        accepted.append(([b.lam for b in spec.blocks], rel, rel_bar))
+    order = []  # block count of every accepted sample, in processing order
+    groups = {}  # block count -> the _detect_rows records of its samples
+    resampled = skipped_zero = 0
+    batch = xs
+    while len(batch) and budget > 0:
+        batch = batch[:budget]
+        budget -= len(batch)
+        replacements = []
+        for rows in _row_chunks(len(batch), n * n):
+            status, found = _detect_rows(family, batch[rows])
+            order += [int(r) for r in status if r >= 0]
+            for r, record in found.items():
+                groups.setdefault(r, []).append(record)
+            skipped_zero += int(np.sum(status == -2))
+            degenerate = int(np.sum(status == -1))
+            resampled += degenerate
+            for _ in range(degenerate):
+                v = rng.normal(size=n)
+                replacements.append(v / np.linalg.norm(v))
+        batch = np.array(replacements).reshape(-1, n)
 
-    if not accepted:
+    if not order:
         raise InsufficientSamples("no sample produced a usable spectrum")
     counts = {}
-    for lams, _, _ in accepted:
-        counts[len(lams)] = counts.get(len(lams), 0) + 1
+    for r in order:
+        counts[r] = counts.get(r, 0) + 1
     modal_r = max(counts, key=lambda r: counts[r])
-    accepted = [rec for rec in accepted if len(rec[0]) == modal_r]
-    if len(accepted) < SAMPLE_FLOOR:
+    records = groups[modal_r]
+    lam = np.concatenate([rec[0] for rec in records])  # (N, r)
+    keys = records[0][1]
+    rel = np.concatenate([rec[2] for rec in records])
+    rel_bar = np.concatenate([rec[3] for rec in records])
+    max_rel = dict(zip(keys, rel.max(axis=0).tolist()))
+    max_rel_bar = dict(zip(keys, rel_bar.max(axis=0).tolist()))
+    if len(lam) < SAMPLE_FLOOR:
         raise InsufficientSamples(
-            "only %d usable samples (floor %d)" % (len(accepted), SAMPLE_FLOOR))
+            "only %d usable samples (floor %d)" % (len(lam), SAMPLE_FLOOR))
 
-    lam = np.array([rec[0] for rec in accepted])  # (N, r)
-    keys = sorted(accepted[0][1])
-    max_rel = {key: max(rec[1][key] for rec in accepted) for key in keys}
+    keys = sorted(keys)
     vanish = {key: max_rel[key] < VANISH_TOL for key in keys}
-    vanish_bar = {key: max(rec[2][key] for rec in accepted) < VANISH_TOL
-                  for key in keys}
+    vanish_bar = {key: max_rel_bar[key] < VANISH_TOL for key in keys}
     # the torsion-square part is block-diagonal, so the off-diagonal verdicts
     # must agree whether computed from R_0 or from the curvature term alone
     for key in keys:
         if key == "0,0" or key.endswith(":(1,1)") and _same_pair(key):
             continue
-        assert vanish[key] == vanish_bar[key], \
-            "curvature-term cross-check disagrees on component %s" % key
+        if vanish[key] != vanish_bar[key]:
+            raise AssertionError(
+                "curvature-term cross-check disagrees on component %s" % key)
 
     def rel_std(values):
         mean = float(np.mean(values))
@@ -318,12 +381,17 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
 
     eigen_structure = {
         "block_count": modal_r,
-        "samples_used": len(accepted),
+        "samples_used": len(lam),
         "lambda_mean": [m for _, m in lambda_stats],
         "lambda_rel_std": [s for s, _ in lambda_stats],
-        "component_max_relnorm": max_rel,
+        "component_max_relnorm": {key: max_rel[key] for key in keys},
         "component_vanish": vanish,
         "failures": failures,
+        "samples_offered": 3 * len(xs) - budget,
+        "resampled": resampled,
+        "skipped_zero": skipped_zero,
+        "dropped_nonmodal": len(order) - len(lam),
+        "budget_left": budget,
     }
     if failures:
         return LjrVerdict(False, None, eigen_structure, None)
@@ -336,7 +404,8 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     q = Polynomial([1.0])
     for v in distinct:
         q = q * Polynomial([v, 0.0, 1.0])
-    ric = max(abs(ricci(model, e)) for e in np.eye(n))
+    ricci = np.trace(family.stack(np.eye(n), 0)[:, 0], axis1=1, axis2=2)
+    ric = float(np.max(np.abs(ricci)))
     if ric < 1e-10 and q.degree >= 1:
         resid = check_ljr(family, q, samples=xs)
         if resid < residual_tol:
@@ -516,53 +585,67 @@ def trace_free_part(t, k: int) -> np.ndarray:
     return full.reshape((n,) * (m + 2))
 
 
+def _stencils(n, m):
+    """Polarization stencils of Sym^m in n variables.
+
+    The value of a multiset alpha is sum over the nonzero mu <= hist(alpha)
+    of (-1)^(m - |mu|) prod_i C(hist_i, mu_i) f(mu), over m!.  Returns the
+    distinct stencil vectors mu (S, n) and that sum as a coefficient matrix
+    in COO form: rows (multiset index, ascending), columns (stencil index)
+    and integer values, each row's entries in lexicographic order of mu.
+    """
+    alphas = np.array(_msets(n, m))
+    hist = np.zeros((len(alphas), n), dtype=np.int64)
+    np.add.at(hist, (np.arange(len(alphas))[:, None], alphas), 1)
+    binom = np.array([[comb(c, u) for u in range(m + 1)] for c in range(m + 1)])
+    rows = np.arange(len(alphas))
+    key = np.zeros(len(alphas), dtype=np.int64)  # mu in base m + 1, mu_0 leading
+    size = np.zeros(len(alphas), dtype=np.int64)
+    coef = np.ones(len(alphas), dtype=np.int64)
+    for i in range(n):  # expand coordinate i of every partial mu over 0..hist_i
+        reps = hist[rows, i] + 1
+        u = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.repeat(rows, reps)
+        key = np.repeat(key, reps) * (m + 1) + u
+        size = np.repeat(size, reps) + u
+        coef = np.repeat(coef, reps) * binom[hist[rows, i], u]
+    keep = size > 0
+    keys, cols = np.unique(key[keep], return_inverse=True)
+    vectors = np.column_stack(np.unravel_index(keys, (m + 1,) * n))
+    signs = np.where((m - size[keep]) % 2, -1, 1)
+    return vectors.astype(float), rows[keep], cols, signs * coef[keep]
+
+
 def _polarize_compressed(family: JacobiFamily, d: int, seed: int):
     """Compressed coordinates of the full multilinear tensor of R_(d+1),
-    recovered by polarizing over basis-vector sums with multiset memoization.
-    Raises PolarizationRankDeficient when the polarized tensor fails to
-    reproduce the diagonal values it came from at four random unit vectors."""
+    recovered by polarizing over basis-vector sums: every distinct stencil
+    vector is evaluated in one stack.  Raises PolarizationRankDeficient when
+    the polarized tensor fails to reproduce the diagonal values it came from
+    at four random unit vectors."""
     n = family.n
     m = d + 3
-    cache = {}
-
-    def ev(mu):
-        if mu not in cache:
-            cache[mu] = family.operators(np.array(mu, dtype=float), d + 1)[d + 1]
-        return cache[mu]
-
+    vectors, rows, cols, coef = _stencils(n, m)
+    top = np.concatenate([family.stack(vectors[chunk], d + 1)[:, -1].reshape(-1, n * n)
+                          for chunk in _row_chunks(len(vectors), (d + 2) * n * n)])
     a_sets = _msets(n, m)
-    values = np.zeros((len(a_sets), n, n))
-    for a_i, alpha in enumerate(a_sets):
-        hist = tuple(np.bincount(alpha, minlength=n))
-        total = np.zeros((n, n))
-        for mu in itertools.product(*[range(c + 1) for c in hist]):
-            size = sum(mu)
-            if size == 0:
-                continue
-            count = 1
-            for c, u in zip(hist, mu):
-                count *= comb(c, u)
-            total += ((-1) ** (m - size) * count) * ev(mu)
-        values[a_i] = total / factorial(m)
+    values = np.array([np.bincount(rows, weights=coef * top[cols, e], minlength=len(a_sets))
+                       for e in range(n * n)]).T.reshape(-1, n, n) / factorial(m)
 
     mults = _weights(n, m) ** 2
+    alphas = np.array(a_sets)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
-        monomials = np.array([np.prod(x[list(a)]) for a in a_sets])
-        diag = np.einsum("a,aij->ij", mults * monomials, values)
+        diag = np.einsum("a,aij->ij", mults * np.prod(x[alphas], axis=1), values)
         direct = family.operators(x, d + 1)[d + 1]
         scale = max(1.0, float(np.linalg.norm(direct)))
         if float(np.linalg.norm(diag - direct)) > 1e-8 * scale:
             raise PolarizationRankDeficient(
                 "polarized tensor does not reproduce diagonal values")
 
-    b_sets = _msets(n, 2)
-    comp = np.empty((len(a_sets), len(b_sets)))
-    for b_i, beta in enumerate(b_sets):
-        comp[:, b_i] = values[:, beta[0], beta[1]]
-    comp *= np.outer(_weights(n, m), _weights(n, 2))
+    i, j = np.triu_indices(n)  # the order of _msets(n, 2)
+    comp = values[:, i, j] * np.outer(_weights(n, m), _weights(n, 2))
     return comp.reshape(-1)
 
 

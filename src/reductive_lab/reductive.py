@@ -162,8 +162,9 @@ class InfinitesimalModel:
         assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-10
 
     def tau_matrix(self, x) -> np.ndarray:
-        """The skew endomorphism tau_X, metric-dual of tau(X, ., .)."""
-        return np.einsum("a,abc->cb", np.asarray(x, float), self.tau)
+        """The skew endomorphism tau_X, metric-dual of tau(X, ., .), for one
+        X or for every row X of a stack."""
+        return np.einsum("...a,abc->...cb", np.asarray(x, float), self.tau)
 
     def holonomy_residual(self) -> float:
         """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation.

@@ -1,0 +1,78 @@
+"""Regenerate the golden `--json` reports that tests/test_golden.py compares.
+
+    PYTHONPATH=src python tests/golden/make_goldens.py
+
+Each case runs `reductive-lab <argv>` in-process and stores its exit code
+and parsed JSON report in reports.json next to this script.  Regenerate only
+for a deliberate change of the reports, and say why in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+from fractions import Fraction
+
+FIXED_VERIFY = {
+    "berger:n=2,s=1": "3/2",
+    "heisenberg:n=2,c=1": "1",
+    "aw:n11,s=1.5": "2/5",
+    "nk:flag": "5/4,1/4",
+    "nk:s3xs3": "5/4,1/4",
+    "nk:cp3": "5/4,1/4",
+    "nk:s6": "5/4,1/4",
+    "np:spin7-g2": "1/36",
+    "np:squashed-s7": "1/36",
+    "np:v1": "1",
+    "np:v3": "2/5",
+    "neg:su4-su3": "8/3",
+    "neg:sp2-sp1": "1",
+}
+BERGER_S = {1: Fraction(1), -1: Fraction(-3, 2)}  # one admissible s per kappa
+SEEDS = (0, 7)
+PATH = pathlib.Path(__file__).with_name("reports.json")
+
+
+def berger_verify():
+    """Berger n = 4..7 for both kappa, with c^2 = 2(n+1)/(n|1+s|) as --poly."""
+    out = {}
+    for n in range(4, 8):
+        for kappa, s in BERGER_S.items():
+            ident = "berger:n=%d,s=%s,kappa=%d" % (n, float(s), kappa)
+            out[ident] = str(Fraction(2 * (n + 1)) / (n * abs(1 + s)))
+    return out
+
+
+def cases():
+    """(name, argv) of every golden report."""
+    out = []
+    for ident, poly in list(FIXED_VERIFY.items()) + list(berger_verify().items()):
+        for seed in SEEDS:
+            tail = ["--seed", str(seed), "--json"]
+            out.append(("minpoly %s seed %d" % (ident, seed), ["minpoly", ident] + tail))
+            out.append(("verify %s seed %d" % (ident, seed),
+                        ["verify", ident, "--poly", poly] + tail))
+    return out
+
+
+def run(argv):
+    """Exit code and parsed stdout of one in-process CLI run."""
+    from reductive_lab import cli
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+def main():
+    goldens = {}
+    for name, argv in cases():
+        code, report = run(argv)
+        goldens[name] = {"argv": argv, "code": code, "report": report}
+    PATH.write_text(json.dumps(goldens, sort_keys=True, indent=1) + "\n")
+    print("wrote %d reports to %s" % (len(goldens), PATH), file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

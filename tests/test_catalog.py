@@ -219,6 +219,32 @@ class TestBergerFamily:
         d = catalog.berger_consistency(n, s)
         assert abs(d["lhs"] - d["rhs"]) < 1e-10 * d["lhs"]
 
+    @pytest.mark.parametrize("n,s,want", [
+        # the values of the version that rebuilt each extended model
+        (1, 1.0, {"c2": 1.9999999999999996, "r2": 0.5, "kappa": 4.0,
+                  "lhs": 7.999999999999998, "rhs": 8.0}),
+        (2, 1.0, {"c2": 1.5, "r2": 0.375, "kappa": 4.000000000000001,
+                  "lhs": 6.0, "rhs": 6.000000000000003}),
+        (3, 2.0, {"c2": 0.8888888888888893, "r2": 0.2222222222222222,
+                  "kappa": 3.9999999999999933, "lhs": 3.555555555555557,
+                  "rhs": 3.5555555555555434}),
+    ])
+    def test_consistency_builds_each_extended_model_once(self, monkeypatch, n, s, want):
+        from reductive_lab import reductive
+        dims = []
+
+        def counted(triple):
+            dims.append(triple.dim_m)
+            return to_model(triple)
+        monkeypatch.setattr(catalog, "to_model", counted)
+        monkeypatch.setattr(reductive, "to_model", counted)
+        got = catalog.berger_consistency(n, s)
+        # one model each for the member at s and the round member
+        assert dims.count(2 * n + 1) == 2
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
     def test_round_three_sphere_torsion_is_a_volume_multiple(self):
         m = to_model(catalog.berger_total_space(1, 0.0))
         tau = vcp.ThreeForm(m.tau)

@@ -128,3 +128,43 @@ def test_invariant_checks_run_under_optimize():
     spectrum, triple = json.loads(out.stdout)
     assert spectrum.startswith("Not equal to tolerance rtol=1e-07, atol=1e-08")
     assert "m-basis not B-orthonormal" in triple
+
+
+BROKEN_STACK_UNDER_O = """
+import json
+import numpy as np
+from reductive_lab.algebra import skew_spectral_decomposition
+from reductive_lab.jacobi import JacobiFamily, component_split, minimal_ljr, sample_vectors
+from reductive_lab.reductive import InfinitesimalModel
+
+if __debug__:
+    raise SystemExit("run with python -O")
+# skew in both index pairs but without pair symmetry: R_0(X) is not symmetric
+rng = np.random.default_rng(0)
+r = rng.normal(size=(4, 4, 4, 4))
+r = r - r.transpose(1, 0, 2, 3)
+r = r - r.transpose(0, 1, 3, 2)
+model = InfinitesimalModel(np.zeros((4, 4, 4)), r)
+a = np.zeros((3, 3))
+a[0, 1], a[1, 0] = -1.0, 1.0
+spectrum = skew_spectral_decomposition(a)
+spectrum.blocks[0].projection = np.eye(3)  # the block now overlaps the kernel
+messages = []
+for call in (lambda: JacobiFamily(model).stack(sample_vectors(4, 4), 1),
+             lambda: minimal_ljr(JacobiFamily(model)),
+             lambda: component_split(spectrum, np.eye(3) + np.ones((3, 3)))):
+    try:
+        call()
+        messages.append(None)
+    except AssertionError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+
+def test_stacked_checks_run_under_optimize():
+    out = _python("-O", "-c", BROKEN_STACK_UNDER_O)
+    assert out.returncode == 0, out.stderr
+    stack, detect, split = json.loads(out.stdout)
+    assert stack == detect == "R_k(X) is not symmetric"
+    assert split is not None and split.startswith("component ")
