@@ -241,14 +241,23 @@ def _curvature_spread(model: InfinitesimalModel):
 
 def round_parameter(build, lo: float, hi: float) -> float:
     """Parameter in (lo, hi) minimizing the sectional-curvature spread of
-    build(s); the round member of a one-parameter family."""
-    from scipy.optimize import minimize_scalar
-
+    build(s), the round member of a one-parameter family: golden-section
+    search for a unimodal spread, to a bracket of width 1e-10."""
     def spread(s):
         return _curvature_spread(to_model(build(s)))[0]
-    res = minimize_scalar(spread, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = spread(c), spread(d)
+    while hi - lo > 1e-10:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = spread(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = spread(d)
+    return 0.5 * (lo + hi)
 
 
 def _model_of(triple: ReductiveTriple) -> InfinitesimalModel:

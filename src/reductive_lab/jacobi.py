@@ -439,23 +439,31 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
     return p
 
 
+def _isotropy_flows(triple: ReductiveTriple) -> np.ndarray:
+    """exp(t ad_h) on m for each isotropy basis vector h and t in {0.5, 1,
+    2}, shape (dim h, 3, dim m, dim m).
+
+    ad_h preserves the metric, so it is skew in the orthonormal m-basis
+    (checked), and exp(t ad_h) = V exp(-i t w) V^H from the eigenpairs
+    (w, V) of the Hermitian i ad_h.
+    """
+    # ads[i] is ad(h_i) on m: column b is [h_i, m_b]_m
+    ads = triple.m_component(triple.g.brackets(triple.h_basis, triple.m_basis)).transpose(0, 2, 1)
+    scale = max(1.0, float(np.max(np.abs(ads), initial=0.0)))
+    if np.max(np.abs(ads + ads.transpose(0, 2, 1)), initial=0.0) >= 1e-9 * scale:
+        raise AssertionError("ad_h is not skew on m")
+    w, v = np.linalg.eigh(1j * ads)
+    phase = np.exp(-1j * np.multiply.outer(w, [0.5, 1.0, 2.0]))  # (dim h, dim m, 3)
+    return np.einsum("hab,hbt,hcb->htac", v, phase, v.conj()).real
+
+
 def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16) -> float:
     """Max deviation of a scalar function of X under the isotropy flows
     exp(t ad_h), t in {0.5, 1, 2}."""
-    from scipy.linalg import expm
-
-    n = triple.dim_m
-    xs = sample_vectors(n, count=samples)
+    xs = sample_vectors(triple.dim_m, count=samples)
     base = [fn(x) for x in xs]
-    # ads[i] is ad(h_i) on m: column b is [h_i, m_b]_m
-    ads = triple.m_component(triple.g.brackets(triple.h_basis, triple.m_basis))
-    worst = 0.0
-    for ad in ads.transpose(0, 2, 1):
-        for t in (0.5, 1.0, 2.0):
-            rot = expm(t * ad)
-            for x, b in zip(xs, base):
-                worst = max(worst, abs(fn(rot @ x) - b))
-    return worst
+    rots = _isotropy_flows(triple).reshape(-1, triple.dim_m, triple.dim_m)
+    return max((abs(fn(rot @ x) - b) for rot in rots for x, b in zip(xs, base)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,95 +471,93 @@ def isotropy_invariance_check(triple: ReductiveTriple, fn, samples: int = 16) ->
 # sqrt-multinomial weights, so the euclidean inner product matches the full
 # tensor one and transposed contraction maps give orthogonal corrections
 
+PROJECTION_STEPS = 100  # CG steps allowed; the catalog ids need at most 8
+
 
 @lru_cache(maxsize=None)
 def _msets(n, m):
-    return list(itertools.combinations_with_replacement(range(n), m))
+    """Multisets of size m from range(n): sorted rows (N, m), lexicographic."""
+    return np.array(list(itertools.combinations_with_replacement(range(n), m)),
+                    dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _mset_index(n, m):
-    return {a: i for i, a in enumerate(_msets(n, m))}
+def _code(n, a):
+    """Flat index in an (n,) * m tensor of every index tuple a (..., m); on
+    sorted tuples it orders them lexicographically."""
+    return a @ n ** np.arange(a.shape[-1] - 1, -1, -1)
+
+
+def _rank(n, a):
+    """Index in _msets(n, m) of the multiset of every index tuple a (..., m)."""
+    return np.searchsorted(_code(n, _msets(n, a.shape[-1])), _code(n, np.sort(a, axis=-1)))
 
 
 @lru_cache(maxsize=None)
 def _weights(n, m):
-    out = []
-    for a in _msets(n, m):
-        counts = np.bincount(a, minlength=n)
-        mult = factorial(m)
-        for c in counts:
-            mult //= factorial(int(c))
-        out.append(np.sqrt(float(mult)))
-    return np.array(out)
+    """sqrt of the multinomial m! / prod_i hist_i! of every multiset."""
+    hist = np.sum(_msets(n, m)[:, :, None] == np.arange(n), axis=1)
+    fact = np.array([factorial(c) for c in range(m + 1)])
+    return np.sqrt(factorial(m) / np.prod(fact[hist], axis=1))
 
 
-@lru_cache(maxsize=None)
-def _full_index_map(n, m):
-    idx = _mset_index(n, m)
-    out = np.empty(n ** m, dtype=np.int64)
-    for flat, tup in enumerate(itertools.product(range(n), repeat=m)):
-        out[flat] = idx[tuple(sorted(tup))]
-    return out
+def _extend(n, gammas, tails):
+    """_msets index of gamma + tail for every row of gammas (G, j) and every
+    row of tails (T, t), shape (G, T)."""
+    both = np.hstack([np.repeat(gammas, len(tails), axis=0), np.tile(tails, (len(gammas), 1))])
+    return _rank(n, both).reshape(len(gammas), len(tails))
 
 
 @lru_cache(maxsize=None)
 def _contraction_matrix(n, k):
-    """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords."""
-    from scipy.sparse import csr_matrix
+    """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords, in
+    COO form: rows, columns, values and the row count.  Column a * nb + b
+    holds multiset a of Sym^(k+2) against multiset b of Sym^2.
 
+    The three contractions (two base slots, the two endomorphism slots, one
+    of each) share one form: row (gamma, r) sums the entries (gamma + s_i,
+    r + t_i) over i, weighted w(gamma) / (w(gamma + s_i) w(r + t_i) / w(r)).
+    """
     m = k + 2
-    a_sets, a_idx, a_w = _msets(n, m), _mset_index(n, m), _weights(n, m)
-    b_sets, b_idx, b_w = _msets(n, 2), _mset_index(n, 2), _weights(n, 2)
-    nb = len(b_sets)
-    rows, cols, vals = [], [], []
-    row = 0
-    # two base slots
-    for g_t, gamma in enumerate(_msets(n, k)):
-        gw = _weights(n, k)[g_t]
-        for bi in range(nb):
-            for i in range(n):
-                alpha = tuple(sorted(gamma + (i, i)))
-                ai = a_idx[alpha]
-                rows.append(row)
-                cols.append(ai * nb + bi)
-                vals.append(gw / a_w[ai])
-            row += 1
-    # the two endomorphism slots
-    for ai in range(len(a_sets)):
-        for i in range(n):
-            rows.append(row)
-            cols.append(ai * nb + b_idx[(i, i)])
-            vals.append(1.0)
-        row += 1
-    # one base slot against one endomorphism slot
-    for g_t, gamma in enumerate(_msets(n, k + 1)):
-        gw = _weights(n, k + 1)[g_t]
-        for u in range(n):
-            for i in range(n):
-                alpha = tuple(sorted(gamma + (i,)))
-                beta = (min(i, u), max(i, u))
-                ai = a_idx[alpha]
-                rows.append(row)
-                cols.append(ai * nb + b_idx[beta])
-                vals.append(gw / (a_w[ai] * b_w[b_idx[beta]]))
-            row += 1
-    shape = (row, len(a_sets) * nb)
-    return csr_matrix((vals, (rows, cols)), shape=shape)
+    nb = len(_weights(n, 2))
+    i = np.arange(n)[:, None]
+    ii, none = np.hstack([i, i]), i[:, :0]
+    parts, count = [], 0
+    for g, s, t in ((k, ii, none), (m, none, ii), (k + 1, i, i)):
+        r = 2 - t.shape[1]
+        alpha = _extend(n, _msets(n, g), s)[:, None]  # (G, 1, i)
+        beta = _extend(n, _msets(n, r), t)  # (R, i)
+        block = np.arange(count, count + len(alpha) * len(beta)).reshape(len(alpha), -1, 1)
+        b_part = _weights(n, 2)[beta] / _weights(n, r)[:, None]
+        entries = np.broadcast_arrays(block, alpha * nb + beta, _weights(n, g)[:, None, None]
+                                      / (_weights(n, m)[alpha] * b_part))
+        parts.append([e.ravel() for e in entries])
+        count += block.size
+    return tuple(np.concatenate(column) for column in zip(*parts)) + (count,)
 
 
 def _project_traces(n, k, vec):
-    """Orthogonal projection onto the joint kernel of all contractions."""
-    from scipy.sparse.linalg import lsmr
+    """Orthogonal projection onto the joint kernel of all contractions C:
+    vec - C^T y, with C C^T y = C vec solved by conjugate gradients until
+    the residual is below 1e-14 |vec|."""
+    rows, cols, vals, count = _contraction_matrix(n, k)
 
-    mat = _contraction_matrix(n, k)
+    def contract(v):
+        return np.bincount(rows, weights=vals * v[cols], minlength=count)
+
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-300:
-        return vec
-    sol = lsmr(mat.T, vec, atol=1e-14, btol=1e-14, maxiter=8 * mat.shape[0])
-    out = vec - mat.T @ sol[0]
-    assert float(np.linalg.norm(mat @ out)) < 1e-8 * norm, \
-        "trace projection did not converge"
+    out, resid = vec, contract(vec)
+    direction, rr = resid, float(resid @ resid)
+    for _ in range(PROJECTION_STEPS):
+        if np.sqrt(rr) <= 1e-14 * norm:
+            break
+        step = np.bincount(cols, weights=vals * direction[rows], minlength=len(vec))
+        alpha = rr / float(step @ step)
+        out = out - alpha * step
+        resid = resid - alpha * contract(step)
+        rr, last = float(resid @ resid), rr
+        direction = resid + (rr / last) * direction
+    if float(np.linalg.norm(contract(out))) > 1e-8 * norm:
+        raise AssertionError("trace projection did not converge")
     return out
 
 
@@ -566,23 +572,17 @@ def trace_free_part(t, k: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     m = k + 2
     n = t.shape[0]
-    assert t.shape == (n,) * (m + 2)
-    if m >= 2:
-        assert np.max(np.abs(t - np.swapaxes(t, 0, 1))) < 1e-9 * max(
-            1.0, float(np.max(np.abs(t))))
-    assert np.max(np.abs(t - np.swapaxes(t, m, m + 1))) < 1e-9 * max(
-        1.0, float(np.max(np.abs(t))))
-    a_w, b_w = _weights(n, m), _weights(n, 2)
-    map_a, map_b = _full_index_map(n, m), _full_index_map(n, 2)
-    nb = len(b_w)
-    flat = t.reshape(n ** m, n ** 2)
-    idx_a = np.array([np.ravel_multi_index(a, (n,) * m) for a in _msets(n, m)])
-    idx_b = np.array([np.ravel_multi_index(b, (n, n)) for b in _msets(n, 2)])
-    comp = flat[np.ix_(idx_a, idx_b)] * np.outer(a_w, b_w)
-    out = _project_traces(n, k, comp.reshape(-1)).reshape(len(a_w), nb)
-    out /= np.outer(a_w, b_w)
-    full = out[np.ix_(map_a, map_b)]
-    return full.reshape((n,) * (m + 2))
+    if t.shape != (n,) * (m + 2):
+        raise ValueError("expected shape (n,) * %d, got %s" % (m + 2, t.shape))
+    scale = 1e-9 * max(1.0, float(np.max(np.abs(t))))
+    if (np.max(np.abs(t - np.swapaxes(t, 0, 1))) >= scale
+            or np.max(np.abs(t - np.swapaxes(t, m, m + 1))) >= scale):
+        raise ValueError("the tensor is not symmetric in its slot groups")
+    weights = np.outer(_weights(n, m), _weights(n, 2))
+    comp = t.reshape(n ** m, n * n)[np.ix_(_code(n, _msets(n, m)), _code(n, _msets(n, 2)))]
+    out = _project_traces(n, k, (comp * weights).reshape(-1)).reshape(weights.shape) / weights
+    ranks = [_rank(n, np.indices((n,) * j).reshape(j, -1).T) for j in (m, 2)]
+    return out[np.ix_(*ranks)].reshape((n,) * (m + 2))
 
 
 def _stencils(n, m):
@@ -594,9 +594,8 @@ def _stencils(n, m):
     in COO form: rows (multiset index, ascending), columns (stencil index)
     and integer values, each row's entries in lexicographic order of mu.
     """
-    alphas = np.array(_msets(n, m))
-    hist = np.zeros((len(alphas), n), dtype=np.int64)
-    np.add.at(hist, (np.arange(len(alphas))[:, None], alphas), 1)
+    alphas = _msets(n, m)
+    hist = np.sum(alphas[:, :, None] == np.arange(n), axis=1)
     binom = np.array([[comb(c, u) for u in range(m + 1)] for c in range(m + 1)])
     rows = np.arange(len(alphas))
     key = np.zeros(len(alphas), dtype=np.int64)  # mu in base m + 1, mu_0 leading
@@ -627,12 +626,11 @@ def _polarize_compressed(family: JacobiFamily, d: int, seed: int):
     vectors, rows, cols, coef = _stencils(n, m)
     top = np.concatenate([family.stack(vectors[chunk], d + 1)[:, -1].reshape(-1, n * n)
                           for chunk in _row_chunks(len(vectors), (d + 2) * n * n)])
-    a_sets = _msets(n, m)
-    values = np.array([np.bincount(rows, weights=coef * top[cols, e], minlength=len(a_sets))
+    alphas = _msets(n, m)
+    values = np.array([np.bincount(rows, weights=coef * top[cols, e], minlength=len(alphas))
                        for e in range(n * n)]).T.reshape(-1, n, n) / factorial(m)
 
     mults = _weights(n, m) ** 2
-    alphas = np.array(a_sets)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         x = rng.normal(size=n)
@@ -644,18 +642,16 @@ def _polarize_compressed(family: JacobiFamily, d: int, seed: int):
             raise PolarizationRankDeficient(
                 "polarized tensor does not reproduce diagonal values")
 
-    i, j = np.triu_indices(n)  # the order of _msets(n, 2)
-    comp = values[:, i, j] * np.outer(_weights(n, m), _weights(n, 2))
-    return comp.reshape(-1)
+    i, j = _msets(n, 2).T
+    return (values[:, i, j] * np.outer(_weights(n, m), _weights(n, 2))).reshape(-1)
 
 
 def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
     """Relative Frobenius norm of the trace-free part of the full R_(d+1)
     tensor.  Zero certifies that the degree-d relation forces R_(d+1) to be
     built entirely from metric terms."""
-    assert d >= 0
-    if d > 5:
-        raise ValueError("polarization stencils are only supported for d <= 5")
+    if not 0 <= d <= 5:
+        raise ValueError("twistor degree d must be in 0..5, got d = %d" % d)
     vec = _polarize_compressed(family, d, seed)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:

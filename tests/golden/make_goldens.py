@@ -31,6 +31,7 @@ FIXED_VERIFY = {
 }
 BERGER_S = {1: Fraction(1), -1: Fraction(-3, 2)}  # one admissible s per kappa
 SEEDS = (0, 7)
+TWISTOR = {"np:v1": range(0, 4), "nk:flag": range(2, 5), "neg:sp2-sp1": range(2, 3)}
 PATH = pathlib.Path(__file__).with_name("reports.json")
 
 
@@ -53,6 +54,14 @@ def cases():
             out.append(("minpoly %s seed %d" % (ident, seed), ["minpoly", ident] + tail))
             out.append(("verify %s seed %d" % (ident, seed),
                         ["verify", ident, "--poly", poly] + tail))
+    tail = ["--seed", "0", "--json"]
+    for ident, degrees in TWISTOR.items():
+        for d in degrees:
+            out.append(("twistor %s d %d" % (ident, d), ["twistor", ident, "--d", str(d)] + tail))
+    for ident in FIXED_VERIFY:
+        out.append(("gvcp %s" % ident, ["gvcp", ident] + tail))
+    out.append(("appendix", ["appendix", "--s-grid", "0.25:2.0:8"] + tail))
+    out.append(("catalog", ["catalog"] + tail))
     return out
 
 

@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from reductive_lab import cli
-from reductive_lab.catalog import entries
+from reductive_lab.algebra import Polynomial
+from reductive_lab.catalog import entries, entry
 from reductive_lab.jacobi import CONSTANCY_TOL, RESIDUAL_TOL, VANISH_TOL
 from reductive_lab.vcp import SPECTRUM_TOL
 
@@ -208,6 +210,35 @@ class TestCustom:
         assert code == 1
 
 
+class TestCoefficientRule:
+    """Only a report compared against an expected polynomial gates on, and
+    echoes, the coefficient tolerance."""
+
+    def test_expected_polynomial_gates_coefficients(self):
+        model = entry("nk:flag").build()
+        want = entry("nk:flag").expected
+        report, code = cli.build_report("nk:flag", model, want, 64, 0, RESIDUAL_TOL)
+        assert code == 0 and report["tolerances"]["coefficient"] == cli.COEFF_TOL
+        off = Polynomial(want.coefficients + np.array([0.0, 2e-7, 0.0, 0.0, 0.0, 0.0]))
+        report, code = cli.build_report("nk:flag", model, off, 64, 0, RESIDUAL_TOL)
+        assert code == 1
+        assert report["residuals"]["coefficient_max"] > cli.COEFF_TOL
+        assert report["ljr"]["max_residual"] < RESIDUAL_TOL
+
+    def test_without_expectation_neither_gates_nor_echoes(self, capsys):
+        code, out, _ = run(capsys, "minpoly", "neg:su4-su3", "--json")
+        assert code == 0
+        assert "coefficient" not in json.loads(out)["tolerances"]
+
+    @pytest.mark.parametrize("ident, poly", [("nk:s6", "5/4,1/4"), ("np:spin7-g2", "1/36")])
+    def test_verify_neither_gates_nor_echoes(self, capsys, ident, poly):
+        code, out, _ = run(capsys, "verify", ident, "--poly", poly, "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert report["residuals"]["coefficient_max"] >= 1.0
+        assert "coefficient" not in report["tolerances"]
+
+
 class TestMarkdown:
     @pytest.mark.parametrize("argv, result", [
         (["gvcp", "np:v3"], r"^torsion class G2Type7$"),
@@ -258,7 +289,8 @@ class TestFlagSurface:
 
     @pytest.mark.parametrize("argv, tolerances", [
         (["minpoly", "nk:s6"], RELATION_TOLERANCES),
-        (["verify", "nk:flag", "--poly", "5/4,1/4"], RELATION_TOLERANCES),
+        (["verify", "nk:flag", "--poly", "5/4,1/4"],
+         {key: v for key, v in RELATION_TOLERANCES.items() if key != "coefficient"}),
         (["custom", "OSCILLATOR"], RELATION_TOLERANCES),
         (["gvcp", "np:v3"], {"spectrum": SPECTRUM_TOL}),
         (["appendix", "--s-grid", "1:2:2"], {"spectrum": SPECTRUM_TOL}),

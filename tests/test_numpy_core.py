@@ -1,9 +1,8 @@
-"""The command path runs on numpy alone, and its invariant checks survive -O.
+"""The library runs on numpy alone, and its invariant checks survive -O.
 
-scipy is imported only inside the functions that need it (the twistor
-projection, round_parameter and isotropy_invariance_check), and no library
-module uses numpy.testing, whose import costs more than the checks it
-would make.
+No library module imports scipy, which serves the tests as an oracle only,
+or uses numpy.testing, whose import costs more than the checks it would
+make.
 """
 
 import ast
@@ -29,21 +28,17 @@ def _python(*args):
 
 
 def _offences(path):
-    """Module-level scipy imports and any numpy.testing use in one file."""
-    tree = ast.parse(path.read_text())
-    in_function = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            in_function |= {id(inner) for inner in ast.walk(node) if inner is not node}
+    """scipy imports, function-local ones included, and any numpy.testing use
+    in one file."""
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         names = []
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
-        if any(n.partition(".")[0] == "scipy" for n in names) and id(node) not in in_function:
-            found.append((node.lineno, "module-level scipy import"))
+        if any(n.partition(".")[0] == "scipy" for n in names):
+            found.append((node.lineno, "scipy import"))
         if any(n == "numpy.testing" or n.startswith("numpy.testing.") for n in names):
             found.append((node.lineno, "numpy.testing import"))
         if (isinstance(node, ast.Attribute) and node.attr == "testing"
@@ -52,7 +47,7 @@ def _offences(path):
     return ["%s:%d %s" % (path.name, line, what) for line, what in sorted(found)]
 
 
-def test_src_imports_scipy_lazily_and_never_numpy_testing():
+def test_src_imports_neither_scipy_nor_numpy_testing():
     paths = sorted((SRC / "reductive_lab").rglob("*.py"))
     assert paths
     assert [line for path in paths for line in _offences(path)] == []
@@ -66,7 +61,7 @@ def test_guard_sees_each_offence(tmp_path):
                     "    np.testing.assert_allclose(a, a)\n"
                     "from numpy import testing\n")
     assert [line.split(" ", 1)[0] for line in _offences(path)] == \
-        ["mod.py:2", "mod.py:3", "mod.py:6", "mod.py:7"]
+        ["mod.py:2", "mod.py:3", "mod.py:5", "mod.py:6", "mod.py:7"]
 
 
 CHECK_MODULES = """
@@ -86,6 +81,7 @@ print("LOADED", code, *heavy)
     ["catalog"],
     ["appendix", "--s-grid", "1:2:2"],
     ["custom", "OSCILLATOR"],
+    ["twistor", "np:v1", "--d", "2"],
 ], ids=lambda argv: argv[0])
 def test_command_loads_neither_scipy_nor_numpy_testing(tmp_path, argv):
     if argv[-1] == "OSCILLATOR":
@@ -95,6 +91,79 @@ def test_command_loads_neither_scipy_nor_numpy_testing(tmp_path, argv):
     out = _python("-c", CHECK_MODULES, *argv, "--json")
     assert "Traceback" not in out.stderr, out.stderr
     assert out.stdout.splitlines()[-1] == "LOADED 0"
+
+
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from reductive_lab import catalog, cli
+from reductive_lab.jacobi import isotropy_invariance_check
+path = sys.argv[1]
+codes = {}
+for argv in (["minpoly", "nk:flag"], ["verify", "nk:flag", "--poly", "5/4,1/4"],
+             ["gvcp", "np:v3"], ["catalog"], ["appendix", "--s-grid", "1:2:2"],
+             ["custom", path], ["twistor", "np:v1", "--d", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = cli.main(argv + ["--json"])
+triple = catalog.berger_total_space(1, 1.0)
+deviation = isotropy_invariance_check(triple, lambda x: float(x @ x), samples=4)
+star = catalog.round_parameter(lambda s: catalog.berger_total_space(2, s), -0.9, 1.5)
+print(json.dumps({"codes": codes, "deviation": deviation, "star": star}))
+"""
+
+
+def test_library_runs_with_scipy_blocked(tmp_path):
+    path = tmp_path / "oscillator.json"
+    path.write_text(json.dumps(OSCILLATOR))
+    out = _python("-c", WITHOUT_SCIPY, str(path))
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == {"minpoly": 0, "verify": 0, "gvcp": 0, "catalog": 0,
+                               "appendix": 0, "custom": 0, "twistor": 0}
+    assert result["deviation"] < 1e-12
+    assert abs(result["star"] + 0.25) < 1e-8
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_negative_twistor_degree_is_invalid_input(flags):
+    out = _python(*flags, "-m", "reductive_lab.cli", "twistor", "np:v1", "--d", "-1")
+    assert out.returncode == 2
+    error = json.loads(out.stderr)["error"]
+    assert error["type"] == "ValueError"
+    assert "d = -1" in error["message"]
+
+
+STALLED_UNDER_O = """
+import json
+from types import SimpleNamespace
+import numpy as np
+from reductive_lab import jacobi
+from reductive_lab.catalog import entry
+
+if __debug__:
+    raise SystemExit("run with python -O")
+jacobi.PROJECTION_STEPS = 0  # the projection takes no step, so it cannot converge
+# a triple stand-in whose one isotropy generator acts on m as a shear
+shear = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+sheared = SimpleNamespace(dim_m=2, h_basis=None, m_basis=None, m_component=lambda a: a,
+                          g=SimpleNamespace(brackets=lambda h, m: shear))
+messages = []
+for call in (lambda: jacobi.verify_twistor(jacobi.JacobiFamily(entry("nk:flag").build()), 2),
+             lambda: jacobi.isotropy_invariance_check(sheared, lambda x: float(x @ x))):
+    try:
+        call()
+        messages.append(None)
+    except AssertionError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+
+def test_projection_and_flow_checks_run_under_optimize():
+    out = _python("-O", "-c", STALLED_UNDER_O)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["trace projection did not converge",
+                                      "ad_h is not skew on m"]
 
 
 BROKEN_UNDER_O = """
