@@ -2,8 +2,8 @@
 
 Polynomials with tolerance-based comparison, the canonical splitting of a
 skew-symmetric operator into its kernel and invariant 2m-planes, and
-minimal/characteristic polynomials of small dense operators.  All arithmetic
-is double precision; exact rational input is converted once on entry.
+characteristic polynomials of small dense operators.  All arithmetic is
+double precision; exact rational input is converted once on entry.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ __all__ = [
     "SkewSpectra",
     "skew_spectra",
     "skew_spectral_decomposition",
-    "minimal_polynomial_wrt",
     "characteristic_polynomial",
-    "evaluate_polynomial_at_operator",
     "symmetric_basis",
     "operator_on_symmetric",
 ]
@@ -282,26 +280,6 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
     return SkewSpectrum(vecs[:, labels == 0], blocks)
 
 
-def minimal_polynomial_wrt(A, x) -> Polynomial:
-    """Monic minimal polynomial of the skew operator A relative to the vector x.
-
-    Product of (t^2 + lam_ell^2) over blocks meeting x, times t when the
-    kernel component of x is nonzero.
-    """
-    spectrum = skew_spectral_decomposition(A)
-    x = np.asarray(x, dtype=float)
-    xnorm = np.linalg.norm(x)
-    if xnorm == 0.0:
-        return Polynomial([1.0])
-    p = Polynomial([1.0])
-    if np.linalg.norm(spectrum.zero_projection @ x) > ZERO_TOL * xnorm:
-        p = p * Polynomial([0.0, 1.0])
-    for block in spectrum.blocks:
-        if np.linalg.norm(block.projection @ x) > ZERO_TOL * xnorm:
-            p = p * Polynomial([block.lam ** 2, 0.0, 1.0])
-    return p
-
-
 def characteristic_polynomial(L) -> Polynomial:
     """Monic characteristic polynomial det(tI - L) via Faddeev-LeVerrier.
 
@@ -326,18 +304,6 @@ def characteristic_polynomial(L) -> Polynomial:
     ascending = descending[::-1]
     coeffs = [c * scale ** (n - i) for i, c in enumerate(ascending)]
     return Polynomial(coeffs, zero_tol=0.0)
-
-
-def evaluate_polynomial_at_operator(P: Polynomial, L) -> np.ndarray:
-    """Horner evaluation of P at the square matrix L."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    if P.is_zero:
-        return np.zeros((n, n))
-    out = P.coefficients[-1] * np.eye(n)
-    for c in P.coefficients[-2::-1]:
-        out = out @ L + c * np.eye(n)
-    return out
 
 
 def symmetric_basis(n: int):

@@ -29,11 +29,12 @@ from .reductive import (
     build_triple,
     extend_fibered,
     holomorphic_sectional,
+    jacobi_operator,
     scalar_curvature,
     sectional_curvature,
     to_model,
 )
-from .vcp import InvalidS, g2_sigma
+from .vcp import InvalidS, _orthonormal_pairs, g2_sigma
 
 __all__ = [
     "CatalogEntry",
@@ -226,16 +227,10 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
 
 
 def _curvature_spread(model: InfinitesimalModel):
-    rng = np.random.default_rng(0)
-    values = []
-    for _ in range(24):
-        x = rng.normal(size=model.n)
-        x /= np.linalg.norm(x)
-        y = rng.normal(size=model.n)
-        y -= (y @ x) * x
-        y /= np.linalg.norm(y)
-        values.append(sectional_curvature(model, x, y))
-    values = np.asarray(values)
+    """Spread and values of the sectional curvature on 24 fixed-seed
+    orthonormal pairs (x, y): x R_0(y) x."""
+    xs, ys = np.array(list(_orthonormal_pairs(model.n, 24, 0))).transpose(1, 0, 2)
+    values = np.einsum("pa,pab,pb->p", xs, jacobi_operator(model, ys), xs)
     return float(values.max() - values.min()), values
 
 

@@ -29,7 +29,8 @@ from .algebra import (
     operator_on_symmetric,
     skew_spectra,
 )
-from .reductive import InfinitesimalModel, ReductiveTriple, _orthogonal_complement
+from .reductive import (InfinitesimalModel, ReductiveTriple, _orthogonal_complement,
+                        jacobi_operator, ricci)
 
 __all__ = [
     "InsufficientSamples",
@@ -38,8 +39,6 @@ __all__ = [
     "LjrVerdict",
     "sample_vectors",
     "t_apply",
-    "scd",
-    "curvature_term",
     "check_ljr",
     "minimal_ljr",
     "component_split",
@@ -81,7 +80,8 @@ def sample_vectors(n: int, count: int = 64, seed: int = 0) -> np.ndarray:
 def t_apply(model: InfinitesimalModel, x, s) -> np.ndarray:
     """The derivation T_X on a symmetric endomorphism: (S tau_X - tau_X S)/2."""
     s = np.asarray(s, dtype=float)
-    assert np.max(np.abs(s - s.T)) < 1e-8 * max(1.0, float(np.max(np.abs(s))))
+    if not np.max(np.abs(s - s.T)) < 1e-8 * max(1.0, float(np.max(np.abs(s)))):
+        raise ValueError("T_X acts on symmetric endomorphisms; S is not symmetric")
     t = model.tau_matrix(x)
     return 0.5 * (s @ t - t @ s)
 
@@ -108,23 +108,14 @@ class JacobiFamily:
 
     def __init__(self, model: InfinitesimalModel):
         self.model = model
-        self.n = n = model.n
-        # rbar[u, j, a, b] with rows (j, b) and columns (a, u), so that the
-        # curvature terms of a stack are its outer products x (x) x times this
-        self._curvature = model.rbar.transpose(1, 3, 2, 0).reshape(n * n, n * n)
-
-    def curvature_terms(self, xs) -> np.ndarray:
-        """rbar(., X)X for every row X of xs, shape (N, n, n)."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
-        outer = (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), self.n * self.n)
-        return (outer @ self._curvature).reshape(-1, self.n, self.n)
+        self.n = model.n
 
     def stack(self, xs, k: int) -> np.ndarray:
         """R_0(X), ..., R_k(X) for every row X of xs, shape (N, k+1, n, n)."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
         t = self.model.tau_matrix(xs)
         ops = np.empty((len(xs), k + 1, self.n, self.n))
-        ops[:, 0] = self.curvature_terms(xs) - 0.25 * (t @ t)
+        ops[:, 0] = jacobi_operator(self.model, xs)
         for i in range(1, k + 1):
             ops[:, i] = 0.5 * (ops[:, i - 1] @ t - t @ ops[:, i - 1])
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=(2, 3)))
@@ -139,18 +130,6 @@ class JacobiFamily:
     def operators(self, x, k: int) -> list:
         """[R_0(X), ..., R_k(X)] for one X: the one-row case of stack."""
         return list(self.stack(x, k)[0])
-
-
-def scd(family: JacobiFamily, x, k: int) -> np.ndarray:
-    """R_k(X) = T_X^k R_0(X)."""
-    assert k >= 0
-    return family.operators(x, k)[k]
-
-
-def curvature_term(model: InfinitesimalModel, x) -> np.ndarray:
-    """rbar(., X)X alone, i.e. R_0(X) without the torsion-square part: the
-    one-row case of JacobiFamily.curvature_terms."""
-    return JacobiFamily(model).curvature_terms(x)[0]
 
 
 def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
@@ -265,7 +244,7 @@ def _detect_rows(family: JacobiFamily, xs):
     zero = norm < 1e-14
     status[rows[zero]] = -2
     rows, r0, norm = rows[~zero], r0[~zero], norm[~zero]
-    both = np.array([r0, family.curvature_terms(xs[rows])])
+    both = np.array([r0, family.model.curvature_term(xs[rows])])
     groups = {}
     for r in sorted(set(status[rows].tolist())):  # np.unique would import numpy.ma
         sel = np.flatnonzero(status[rows] == r)
@@ -404,8 +383,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     q = Polynomial([1.0])
     for v in distinct:
         q = q * Polynomial([v, 0.0, 1.0])
-    ricci = np.trace(family.stack(np.eye(n), 0)[:, 0], axis1=1, axis2=2)
-    ric = float(np.max(np.abs(ricci)))
+    ric = float(np.max(np.abs(ricci(family.model, np.eye(n)))))
     if ric < 1e-10 and q.degree >= 1:
         resid = check_ljr(family, q, samples=xs)
         if resid < residual_tol:
@@ -427,15 +405,18 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
     relation annihilating R_0(X), which is verified before returning.
     """
     x = np.asarray(x, dtype=float)
-    assert np.linalg.norm(x) > 0
+    if not np.linalg.norm(x) > 0:
+        raise ValueError("the universal relation needs a nonzero X")
     n = family.n
     q = _orthogonal_complement(x[:, None])
     tau = q.T @ family.model.tau_matrix(x) @ q
     mat = operator_on_symmetric(lambda s: 0.5 * (s @ tau - tau @ s), n - 1)
     p = characteristic_polynomial(mat)
-    assert p.degree == comb(n, 2)
+    if p.degree != comb(n, 2):
+        raise AssertionError("universal relation has degree %d, not C(%d, 2)" % (p.degree, n))
     residual = check_ljr(family, p, samples=x[None, :])
-    assert residual < tol, "universal relation residual %.3e" % residual
+    if not residual < tol:
+        raise AssertionError("universal relation residual %.3e" % residual)
     return p
 
 

@@ -28,11 +28,8 @@ __all__ = [
     "su",
     "su_generators",
     "so",
-    "u",
     "sp",
-    "abelian",
     "algebra_from_json",
-    "algebra_to_json",
 ]
 
 JACOBI_TOL = 1e-10
@@ -354,12 +351,6 @@ def su(n: int) -> LieAlgebra:
     return from_matrix_algebra(su_generators(n, n))
 
 
-def u(n: int) -> LieAlgebra:
-    base = su(n)
-    mats = list(base.matrices) + [realify(1j * np.eye(n))]
-    return from_matrix_algebra(mats)
-
-
 def so(n: int) -> LieAlgebra:
     mats = []
     for p in range(n):
@@ -396,10 +387,6 @@ def sp(n: int) -> LieAlgebra:
     return from_matrix_algebra([realify(m) for m in mats])
 
 
-def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, {})
-
-
 def algebra_from_json(data: dict):
     """Load a (LieAlgebra, {name: BilinearForm}) pair from the JSON schema
 
@@ -416,12 +403,3 @@ def algebra_from_json(data: dict):
     forms = {name: BilinearForm(np.asarray(mat, dtype=float), name=name)
              for name, mat in data.get("forms", {}).items()}
     return g, forms
-
-
-def algebra_to_json(g: LieAlgebra, forms=None) -> dict:
-    return {
-        "dim": g.dim,
-        "labels": list(g.labels),
-        "brackets": [[i, j, k, v] for i, j, k, v in g.triples],
-        "forms": {form.name: form.matrix.tolist() for form in (forms or [])},
-    }

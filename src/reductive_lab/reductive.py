@@ -33,7 +33,6 @@ __all__ = [
     "sectional_curvature",
     "ricci",
     "scalar_curvature",
-    "normal_sectional_cross_check",
     "holomorphic_sectional",
     "check_chsc_equivalences",
     "extend_fibered",
@@ -141,30 +140,44 @@ class InfinitesimalModel:
 
     tau has shape (n, n, n) with tau[i,j,k] = g(tau(e_i, e_j), e_k); rbar has
     shape (n, n, n, n) with rbar[i,j] the matrix of the skew endomorphism
-    rbar(e_i, e_j).  The metric is the identity by construction.
+    rbar(e_i, e_j).  The metric is the identity by construction.  rbar is
+    stored once, as the (n^2, n^2) matrix with rows (j, b) and columns
+    (a, u) of rbar[u, j, a, b], and model.rbar is a view of it.
     """
 
     def __init__(self, tau, rbar):
         self.tau = np.asarray(tau, dtype=float)
-        self.rbar = np.asarray(rbar, dtype=float)
-        self.n = self.tau.shape[0]
-        assert self.tau.shape == (self.n,) * 3
-        assert self.rbar.shape == (self.n,) * 4
+        rbar = np.asarray(rbar, dtype=float)
+        self.n = n = self.tau.shape[0]
+        if self.tau.shape != (n,) * 3 or rbar.shape != (n,) * 4:
+            raise ValueError("tau and rbar must have shapes (n,) * 3 and (n,) * 4, got %s and %s"
+                             % (self.tau.shape, rbar.shape))
+        self._curvature = rbar.transpose(1, 3, 2, 0).reshape(n * n, n * n)
+        self.rbar = self._curvature.reshape(n, n, n, n).transpose(3, 0, 2, 1)
         self.triple = None
         self.check()
 
     def check(self) -> None:
-        t = self.tau
-        assert np.max(np.abs(t + t.transpose(1, 0, 2))) < 1e-10
-        assert np.max(np.abs(t + t.transpose(0, 2, 1))) < 1e-10
-        r = self.rbar
-        assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) < 1e-10
-        assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-10
+        t, r = self.tau, self.rbar
+        for name, skew in (("tau(x, y)", t + t.transpose(1, 0, 2)),
+                           ("tau(x, ., .)", t + t.transpose(0, 2, 1)),
+                           ("rbar(x, y)", r + r.transpose(1, 0, 2, 3)),
+                           ("rbar(x, y) as an endomorphism", r + r.transpose(0, 1, 3, 2))):
+            if not np.max(np.abs(skew), initial=0.0) < 1e-10:
+                raise AssertionError("%s is not skew" % name)
 
     def tau_matrix(self, x) -> np.ndarray:
         """The skew endomorphism tau_X, metric-dual of tau(X, ., .), for one
         X or for every row X of a stack."""
         return np.einsum("...a,abc->...cb", np.asarray(x, float), self.tau)
+
+    def curvature_term(self, x) -> np.ndarray:
+        """rbar(., X)X, i.e. R_0(X) without the torsion-square part, for one
+        X or for every row X of a stack: the outer product X (x) X times the
+        stored curvature matrix."""
+        x = np.asarray(x, dtype=float)
+        outer = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (self.n ** 2,))
+        return (outer @ self._curvature).reshape(x.shape + (self.n,))
 
     def holonomy_residual(self) -> float:
         """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation.
@@ -194,17 +207,16 @@ def to_model(triple: ReductiveTriple) -> InfinitesimalModel:
     model = InfinitesimalModel(tau, rbar.reshape(n, n, n, n))
     model.triple = triple
     residual = model.holonomy_residual()
-    assert residual < 1e-9, \
-        "canonical curvature does not preserve tau: %.3e" % residual
+    if not residual < 1e-9:
+        raise AssertionError("canonical curvature does not preserve tau: %.3e" % residual)
     return model
 
 
 def jacobi_operator(model: InfinitesimalModel, x) -> np.ndarray:
-    """R_0(X): U -> rbar(U, X)X - (1/4) tau_X^2 U (symmetric, kills X)."""
-    x = np.asarray(x, dtype=float)
-    r1 = np.einsum("ujab,j,b->au", model.rbar, x, x)
+    """R_0(X): U -> rbar(U, X)X - (1/4) tau_X^2 U (symmetric, kills X), for
+    one X or for every row X of a stack."""
     t = model.tau_matrix(x)
-    return r1 - 0.25 * (t @ t)
+    return model.curvature_term(x) - 0.25 * (t @ t)
 
 
 def sectional_curvature(model: InfinitesimalModel, x, y) -> float:
@@ -216,25 +228,13 @@ def sectional_curvature(model: InfinitesimalModel, x, y) -> float:
     return float(x @ (jacobi_operator(model, y) @ x)) / gram
 
 
-def ricci(model: InfinitesimalModel, x) -> float:
-    return float(np.trace(jacobi_operator(model, x)))
+def ricci(model: InfinitesimalModel, x):
+    """Ric(X, X) = tr R_0(X), for one X or for every row X of a stack."""
+    return np.trace(jacobi_operator(model, x), axis1=-2, axis2=-1)
 
 
 def scalar_curvature(model: InfinitesimalModel) -> float:
-    return float(sum(ricci(model, e) for e in np.eye(model.n)))
-
-
-def normal_sectional_cross_check(triple: ReductiveTriple, x, y) -> float:
-    """R(x,y,y,x) for normal triples: B([x,y]_h, [x,y]_h) + (1/4)|tau(x,y)|^2.
-
-    x, y are m-coordinates; the value is unnormalized (not divided by the
-    plane's Gram determinant).
-    """
-    v = triple.g.bracket(triple.m_basis @ np.asarray(x, float),
-                         triple.m_basis @ np.asarray(y, float))
-    h_part = triple.h_component(v)
-    tau_xy = triple.m_component(v)  # = -tau(x,y), sign squares away
-    return float(triple.B(h_part, h_part) + 0.25 * (tau_xy @ tau_xy))
+    return float(np.sum(ricci(model, np.eye(model.n))))
 
 
 def _check_complex_structure(j, n):
@@ -251,7 +251,8 @@ def holomorphic_sectional(model: InfinitesimalModel, j, x) -> float:
     x = np.asarray(x, dtype=float)
     jx = j @ x
     norm4 = float(x @ x) ** 2
-    assert norm4 > 0
+    if not norm4 > 0:
+        raise ValueError("holomorphic sectional curvature needs a nonzero X")
     return float(jx @ (jacobi_operator(model, x) @ jx)) / norm4
 
 
@@ -426,13 +427,15 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     check_close(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom, 1e-9,
                 err_msg="vertical torsion wrong")
     if q == 1:
-        assert np.max(np.abs(model.tau[:, n:, n:])) < 1e-9
+        if not np.max(np.abs(model.tau[:, n:, n:])) < 1e-9:
+            raise AssertionError("torsion has a vertical-vertical part")
         rho = rhos[0]
         form = rho.T  # form[i, j] = <rho e_i, e_j>
         expected_r = base_model.rbar + \
             np.einsum("ij,ab->ijab", form, rho) / (sign * (1.0 + s))
         check_close(model.rbar[:n, :n, :n, :n], expected_r, 1e-9,
                     err_msg="horizontal curvature wrong")
-        assert np.max(np.abs(model.rbar[n:, :, :, :])) < 1e-9
-        assert np.max(np.abs(model.rbar[:, :, n:, :])) < 1e-9
+        if not (np.max(np.abs(model.rbar[n:])) < 1e-9
+                and np.max(np.abs(model.rbar[:, :, n:])) < 1e-9):
+            raise AssertionError("curvature has a vertical part")
     return model

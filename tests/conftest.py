@@ -26,6 +26,13 @@ def unit_samples(n, count, seed=0) -> np.ndarray:
     return xs / np.linalg.norm(xs, axis=1)[:, None]
 
 
+def reference_jacobi_operator(model, x) -> np.ndarray:
+    """R_0(X) for one X, as one einsum over the 4-index rbar: the oracle
+    for the library's product with the stored curvature matrix."""
+    t = model.tau_matrix(x)
+    return np.einsum("ujab,j,b->au", model.rbar, x, x) - 0.25 * (t @ t)
+
+
 def standard_j(n) -> np.ndarray:
     """Complex structure pairing (e_1, e_2), (e_3, e_4), ... (interleaved)."""
     assert n % 2 == 0

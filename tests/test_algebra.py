@@ -1,8 +1,9 @@
 """Kernel module tests.
 
-The minimal-polynomial tests are checked against a Krylov-rank oracle and the
-characteristic-polynomial tests against an eigenvalue oracle, both of which
-use routes independent of the implementation.
+The minimal polynomial of a skew operator relative to a vector, read off the
+blocks of its skew spectral decomposition, is checked against a Krylov-rank
+oracle, and the characteristic-polynomial tests against an eigenvalue oracle,
+both of which use routes independent of the implementation.
 """
 
 import numpy as np
@@ -14,9 +15,8 @@ from reductive_lab.algebra import (
     DegenerateSpectrum,
     NotSkew,
     Polynomial,
+    ZERO_TOL,
     characteristic_polynomial,
-    evaluate_polynomial_at_operator,
-    minimal_polynomial_wrt,
     operator_on_symmetric,
     skew_spectral_decomposition,
     symmetric_basis,
@@ -37,6 +37,32 @@ def rational_skew(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.integers(-4, 5, size=(n, n)).astype(float) / 4.0
     return m - m.T
+
+
+def evaluate_polynomial_at_operator(P, L):
+    """Horner evaluation of P at the square matrix L."""
+    n = L.shape[0]
+    if P.is_zero:
+        return np.zeros((n, n))
+    out = P.coefficients[-1] * np.eye(n)
+    for c in P.coefficients[-2::-1]:
+        out = out @ L + c * np.eye(n)
+    return out
+
+
+def minimal_polynomial_wrt(A, x):
+    """Monic minimal polynomial of the skew operator A relative to x, from
+    its skew spectral decomposition: the product of t^2 + lam^2 over the
+    blocks that x meets, times t when x meets the kernel."""
+    spectrum = skew_spectral_decomposition(A)
+    xnorm = np.linalg.norm(x)
+    p = Polynomial([1.0])
+    if np.linalg.norm(spectrum.zero_projection @ x) > ZERO_TOL * xnorm:
+        p = p * Polynomial([0.0, 1.0])
+    for block in spectrum.blocks:
+        if np.linalg.norm(block.projection @ x) > ZERO_TOL * xnorm:
+            p = p * Polynomial([block.lam ** 2, 0.0, 1.0])
+    return p
 
 
 def krylov_degree(A, x, tol=1e-6):

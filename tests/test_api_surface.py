@@ -1,19 +1,24 @@
-"""Static guard: every defaulted parameter in src/ is set by some caller.
+"""Static guards on the surface of src/.
 
-A default that no call in src/, tests/ or perfbench/ overrides is a
-constant spelled as an option; write the value in the body instead.
-Calls are matched to definitions by name (a class name reaches its
-__init__).  A positional argument sets the parameter in its position, a
-starred argument counts as one position, a keyword sets its parameter,
-and `**kw` passed on from a function's own `**kw` carries the keywords
-that the callers of that function pass; any other `**mapping` sets every
-parameter.
+Every defaulted parameter in src/ is set by some caller.  A default that
+no call in src/, tests/ or perfbench/ overrides is a constant spelled as
+an option; write the value in the body instead.  Calls are matched to
+definitions by name (a class name reaches its __init__).  A positional
+argument sets the parameter in its position, a starred argument counts as
+one position, a keyword sets its parameter, and `**kw` passed on from a
+function's own `**kw` carries the keywords that the callers of that
+function pass; any other `**mapping` sets every parameter.
+
+Every name a module exports in __all__ is used by the library, by the
+benchmark or by the acceptance criteria.  An export only unit tests call
+is test code; move it into the tests that use it, or delete it.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "reductive_lab"
 
 # The metric normalisation of a preset space is part of its geometry, like
 # the s of a Berger sphere, so these stay parameters with or without callers.
@@ -130,3 +135,64 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 def test_geometry_allowlist_names_real_parameters():
     everything, _ = audit()
     assert GEOMETRY_PARAMETERS <= set(everything)
+
+
+# Lab functions that check a claim of the paper and that only tests call.
+PAPER_CHECKS = {
+    "catalog.berger_consistency",
+    "catalog.quaternionic_hopf",
+    "catalog.round_parameter",
+    "jacobi.trace_free_part",
+    "reductive.check_chsc_equivalences",
+}
+
+
+def exports():
+    """{module: its __all__} for every module of the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                out[path.stem] = [e.value for e in node.value.elts]
+    return out
+
+
+def uses(path, modules):
+    """(module, name) pairs that one file reads: names imported from a package
+    module, attributes of a module bound to its short name, and every name
+    that a package module loads in its own body."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            if module in modules:
+                found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            found.add((node.value.id, node.attr))
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and path.parent == PACKAGE):
+            found.add((path.stem, node.id))
+    return found
+
+
+def unused_exports():
+    """Exports that neither src/, perfbench/ nor the acceptance criteria read."""
+    modules = exports()
+    readers = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    used = set().union(*(uses(path, modules) for path in readers))
+    return sorted("%s.%s" % (module, name) for module, names in modules.items()
+                  for name in names if (module, name) not in used)
+
+
+def test_every_export_is_used_outside_unit_tests():
+    assert sorted(set(unused_exports()) - PAPER_CHECKS) == []
+
+
+def test_paper_checks_are_real_exports():
+    modules = exports()
+    assert all(name in modules.get(module, ()) for module, _, name in
+               (check.partition(".") for check in PAPER_CHECKS))
+    assert PAPER_CHECKS <= set(unused_exports())
+

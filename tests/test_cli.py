@@ -312,15 +312,18 @@ class TestFlagSurface:
         assert report["samples"] == 16
         assert report["tolerances"]["residual"] == 1e-6
 
+    # every command on every catalog id; verify nk:flag keeps its true relation,
+    # since a case is named by its first two arguments
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     @pytest.mark.parametrize("argv", [
         ["catalog"],
-        ["minpoly", "nk:s6"],
         ["verify", "nk:flag", "--poly", "5/4,1/4"],
         ["appendix", "--s-grid", "1:2:2"],
-        ["twistor", "np:v1", "--d", "1"],
         ["custom", "OSCILLATOR"],
-    ] + [["gvcp", ident] for ident in FIXED_IDS], ids=lambda argv: "-".join(argv[:2]))
+    ] + [[command, ident, *flags] for command, *flags in
+         (["minpoly"], ["verify", "--poly", "1"], ["twistor", "--d", "1"], ["gvcp"])
+         for ident in FIXED_IDS if [command, ident] != ["verify", "nk:flag"]],
+        ids=lambda argv: "-".join(argv[:2]))
     def test_every_command_renders(self, capsys, tmp_path, argv, fmt):
         if argv[-1] == "OSCILLATOR":
             path = tmp_path / "oscillator.json"

@@ -11,19 +11,18 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (cp2_triple, heisenberg_closed_form,
-                      heisenberg_transvection, round_three_sphere,
-                      unit_samples)
+                      heisenberg_transvection, reference_jacobi_operator,
+                      round_three_sphere, unit_samples)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductive_lab.algebra import (Polynomial, operator_on_symmetric,
                                    skew_spectral_decomposition)
-from reductive_lab.catalog import entry
+from reductive_lab.catalog import entries, entry
 from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily,
                                   PolarizationRankDeficient, check_ljr,
-                                  component_split, curvature_term,
-                                  isotropy_invariance_check, minimal_ljr,
-                                  sample_vectors, scd, t_apply,
+                                  component_split, isotropy_invariance_check,
+                                  minimal_ljr, sample_vectors, t_apply,
                                   trace_free_part, universal_jr,
                                   verify_twistor)
 from reductive_lab.reductive import (InfinitesimalModel, jacobi_operator,
@@ -130,13 +129,13 @@ class TestScd:
     def test_k_zero_is_jacobi_operator(self):
         fam = heis_family(2, 1.0)
         x = unit_samples(5, 1, seed=9)[0]
-        np.testing.assert_allclose(scd(fam, x, 0),
-                                   jacobi_operator(fam.model, x), atol=1e-14)
+        np.testing.assert_allclose(fam.operators(x, 0)[0],
+                                   reference_jacobi_operator(fam.model, x), atol=1e-14)
 
     def test_symmetric_pair_has_flat_derivative(self):
         fam = JacobiFamily(to_model(cp2_triple()))
         for x in unit_samples(4, 6, seed=2):
-            np.testing.assert_allclose(scd(fam, x, 1), np.zeros((4, 4)),
+            np.testing.assert_allclose(fam.operators(x, 1)[1], np.zeros((4, 4)),
                                        atol=1e-12)
 
     @pytest.mark.parametrize("c", [2.0, -1.0, 0.5])
@@ -144,8 +143,8 @@ class TestScd:
         fam = heis_family(2, 1.3)
         x = unit_samples(5, 1, seed=4)[0]
         for k in range(4):
-            base = scd(fam, x, k)
-            scaled = scd(fam, c * x, k)
+            base = fam.operators(x, k)[k]
+            scaled = fam.operators(c * x, k)[k]
             np.testing.assert_allclose(scaled, c ** (k + 2) * base,
                                        rtol=1e-10, atol=1e-10)
 
@@ -153,7 +152,7 @@ class TestScd:
         fam = heis_family(1, 1.0)
         x = unit_samples(3, 1, seed=5)[0]
         for k in range(1, 5):
-            assert abs(np.trace(scd(fam, x, k))) < 1e-12
+            assert abs(np.trace(fam.operators(x, k)[k])) < 1e-12
 
 
 class TestCheckLjr:
@@ -295,7 +294,6 @@ class TestUniversalJr:
             assert p.degree == 10
             assert max(abs(a) for a in p.coefficients[1::2]) < 1e-10
 
-
 class TestIsotropyInvariance:
     def test_norm_is_invariant(self):
         trip = cp2_triple()
@@ -431,5 +429,52 @@ class TestSamplePlan:
         x = unit_samples(3, 1, seed=11)[0]
         t = model.tau_matrix(x)
         np.testing.assert_allclose(
-            curvature_term(model, x) - 0.25 * (t @ t),
-            jacobi_operator(model, x), atol=1e-12)
+            model.curvature_term(x) - 0.25 * (t @ t),
+            reference_jacobi_operator(model, x), atol=1e-12)
+
+
+def random_orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(model, q):
+    """The model in the orthonormal frame e'_i = sum_k q[k, i] e_k, where
+    a vector x has coordinates q^T x."""
+    tau = np.einsum("abc,ai,bj,ck->ijk", model.tau, q, q, q)
+    rbar = np.einsum("abcd,ai,bj,ck,dl->ijkl", model.rbar, q, q, q, q)
+    return InfinitesimalModel(tau, rbar)
+
+
+@pytest.fixture(scope="module")
+def fixed_models():
+    return {e.name: e.build() for e in entries()}
+
+
+class TestFrameIndependence:
+    """R_0 and the detected relation do not depend on the orthonormal frame."""
+
+    @pytest.mark.parametrize("name", [e.name for e in entries()])
+    def test_jacobi_operator_is_equivariant(self, fixed_models, name):
+        model = fixed_models[name]
+        q = random_orthogonal(model.n, 0)
+        turned = rotated(model, q)
+        xs = sample_vectors(model.n, count=8, seed=5)
+        got = jacobi_operator(turned, xs @ q)
+        want = q.T @ jacobi_operator(model, xs) @ q
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+        assert np.shares_memory(model.rbar, model._curvature)
+        assert np.shares_memory(turned.rbar, turned._curvature)
+
+    @pytest.mark.parametrize("name", ["nk:flag", "np:v3", "berger:n=2,s=1"])
+    def test_relation_is_frame_independent(self, fixed_models, name):
+        model = fixed_models[name]
+        base = minimal_ljr(JacobiFamily(model))
+        turned = minimal_ljr(JacobiFamily(rotated(model, random_orthogonal(model.n, 1))))
+        assert turned.exists and base.exists
+        assert turned.eigen_structure["block_count"] == base.eigen_structure["block_count"]
+        assert turned.polynomial.degree == base.polynomial.degree
+        diff = turned.polynomial.coefficients - base.polynomial.coefficients
+        assert np.max(np.abs(diff)) < 1e-7
+        assert turned.max_residual < 1e-8

@@ -10,9 +10,7 @@ from reductive_lab.liealg import (
     DimensionMismatch,
     LieAlgebra,
     NotClosed,
-    abelian,
     algebra_from_json,
-    algebra_to_json,
     direct_sum,
     from_matrix_algebra,
     orthocomplement,
@@ -22,8 +20,11 @@ from reductive_lab.liealg import (
     sp,
     stabilizer_subalgebra,
     su,
-    u,
 )
+
+
+def u(n):
+    return from_matrix_algebra(list(su(n).matrices) + [realify(1j * np.eye(n))])
 
 
 def volume_form(n):
@@ -116,7 +117,7 @@ class TestDirectSum:
 
     def test_factor_brackets_preserved(self):
         a = su(2)
-        g = direct_sum(a, abelian(1))
+        g = direct_sum(a, LieAlgebra(1, {}))
         e0, e1 = np.eye(4)[0], np.eye(4)[1]
         np.testing.assert_allclose(g.bracket(e0, e1)[:3],
                                    a.bracket(np.eye(3)[0], np.eye(3)[1]), atol=1e-14)
@@ -153,7 +154,7 @@ class TestKillingForm:
         np.testing.assert_allclose(g.killing_form().matrix, (n - 2.0) * t_real, atol=1e-9)
 
     def test_abelian_killing_vanishes(self):
-        np.testing.assert_allclose(abelian(4).killing_form().matrix, np.zeros((4, 4)))
+        np.testing.assert_allclose(LieAlgebra(4, {}).killing_form().matrix, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("builder", [lambda: su(3), lambda: so(7), lambda: sp(2)])
     def test_killing_invariance(self, builder):
@@ -191,7 +192,7 @@ class TestOrthocomplement:
         assert comp.shape == (8, 4)
 
     def test_degenerate_restriction(self):
-        g = abelian(2)
+        g = LieAlgebra(2, {})
         b = BilinearForm(np.diag([0.0, 1.0]))
         with pytest.raises(DegenerateRestriction):
             orthocomplement(g, np.eye(2)[:, :1], b)
@@ -267,7 +268,9 @@ class TestOrthonormalize:
 class TestJson:
     def test_round_trip(self):
         g = su(2)
-        data = algebra_to_json(g, forms=[g.killing_form()])
+        data = {"dim": g.dim, "labels": list(g.labels),
+                "brackets": [[i, j, k, v] for i, j, k, v in g.triples],
+                "forms": {"killing": g.killing_form().matrix.tolist()}}
         g2, forms = algebra_from_json(data)
         assert g2.dim == g.dim
         assert g2.triples == g.triples

@@ -170,7 +170,7 @@ BROKEN_UNDER_O = """
 import json
 import numpy as np
 from reductive_lab.algebra import SkewBlock, SkewSpectrum
-from reductive_lab.liealg import BilinearForm, abelian
+from reductive_lab.liealg import BilinearForm, LieAlgebra
 from reductive_lab.reductive import ReductiveTriple
 
 if __debug__:
@@ -180,7 +180,7 @@ messages = []
 for build in (
         # basis columns of length 1.1: the frame is not orthonormal
         lambda: SkewSpectrum(np.zeros((2, 0)), [SkewBlock(1.0, 1.1 * np.eye(2), j, np.eye(2))]),
-        lambda: ReductiveTriple(abelian(2), np.zeros((2, 0)), BilinearForm(np.eye(2)),
+        lambda: ReductiveTriple(LieAlgebra(2, {}), np.zeros((2, 0)), BilinearForm(np.eye(2)),
                                 1.1 * np.eye(2))):
     try:
         build()
@@ -237,3 +237,44 @@ def test_stacked_checks_run_under_optimize():
     stack, detect, split = json.loads(out.stdout)
     assert stack == detect == "R_k(X) is not symmetric"
     assert split is not None and split.startswith("component ")
+
+
+JACOBI_CHECKS_UNDER_O = """
+import json
+import numpy as np
+from reductive_lab.catalog import heisenberg_model
+from reductive_lab.jacobi import JacobiFamily, sample_vectors, t_apply, universal_jr
+from reductive_lab.reductive import InfinitesimalModel
+
+if __debug__:
+    raise SystemExit("run with python -O")
+model = heisenberg_model(4, 1.718)
+tau = np.zeros((3, 3, 3))
+tau[0, 1, 2] = 1.0  # not skew in any pair of slots
+messages = []
+for call in (
+        # degree 36: the recheck is about 3.1e-7 against the 1e-7 bound
+        lambda: universal_jr(JacobiFamily(model), sample_vectors(9, 1)[0]),
+        lambda: InfinitesimalModel(tau, np.zeros((3, 3, 3, 3))),
+        lambda: InfinitesimalModel(np.zeros((3, 3, 3)), np.zeros((3, 3, 3))),
+        lambda: t_apply(model, np.eye(9)[0], np.triu(np.ones((9, 9)))),
+        lambda: universal_jr(JacobiFamily(model), np.zeros(9))):
+    try:
+        call()
+        messages.append(None)
+    except (AssertionError, ValueError) as exc:
+        messages.append([type(exc).__name__, str(exc)])
+print(json.dumps(messages))
+"""
+
+
+def test_jacobi_and_model_checks_run_under_optimize():
+    out = _python("-O", "-c", JACOBI_CHECKS_UNDER_O)
+    assert out.returncode == 0, out.stderr
+    residual, skew, shape, symmetric, zero = json.loads(out.stdout)
+    assert residual[0] == "AssertionError"
+    assert residual[1].startswith("universal relation residual")
+    assert skew == ["AssertionError", "tau(x, y) is not skew"]
+    assert shape[0] == "ValueError" and "shapes" in shape[1]
+    assert symmetric[0] == "ValueError" and "not symmetric" in symmetric[1]
+    assert zero == ["ValueError", "the universal relation needs a nonzero X"]

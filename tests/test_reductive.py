@@ -32,12 +32,26 @@ from reductive_lab.reductive import (
     extend_fibered,
     holomorphic_sectional,
     jacobi_operator,
-    normal_sectional_cross_check,
     ricci,
     scalar_curvature,
     sectional_curvature,
     to_model,
 )
+
+
+def normal_sectional_cross_check(triple, x, y):
+    """Oracle: R(x,y,y,x) for normal triples, B([x,y]_h, [x,y]_h) +
+    (1/4)|tau(x,y)|^2, straight from the bracket of g.
+
+    x, y are m-coordinates; the value is unnormalized (not divided by the
+    plane's Gram determinant).
+    """
+    v = triple.g.bracket(triple.m_basis @ np.asarray(x, float),
+                         triple.m_basis @ np.asarray(y, float))
+    h_part = triple.h_component(v)
+    tau_xy = triple.m_component(v)  # = -tau(x,y), sign squares away
+    return float(triple.B(h_part, h_part) + 0.25 * (tau_xy @ tau_xy))
+
 
 def fubini_study_rbar(n, kappa, j):
     """Constant-holomorphic-curvature tensor, R(u,v)w indexed [u,v,a,b]."""
@@ -226,6 +240,11 @@ class TestFubiniStudy:
         with pytest.raises(NotComplexStructure):
             check_chsc_equivalences(model, 2.0 * standard_j(4))
 
+    def test_rejects_zero_x(self):
+        model = to_model(cp2_triple())
+        with pytest.raises(ValueError, match="nonzero X"):
+            holomorphic_sectional(model, standard_j(4), np.zeros(4))
+
 
 class TestJacobiOperatorProperties:
     @given(st.integers(0, 10 ** 6))
@@ -242,7 +261,6 @@ class TestJacobiOperatorProperties:
         x = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DegeneratePlane):
             sectional_curvature(model, x, 2.0 * x)
-
 
 class TestExtendFibered:
     def hopf_base(self):

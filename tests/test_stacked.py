@@ -1,7 +1,7 @@
 """The stacked Jacobi family against per-X reference loops.
 
 The references below are the per-X loops the stacked path replaced: R_k(X)
-from jacobi_operator and T_X one X at a time, the component split one
+from the einsum form of R_0 and T_X one X at a time, the component split one
 skew spectrum at a time, check_ljr one X at a time, and minimal_ljr's
 sample queue.  The stacked path must reproduce them on every fixed catalog
 id.
@@ -9,15 +9,15 @@ id.
 
 import numpy as np
 import pytest
+from conftest import reference_jacobi_operator
 
 from reductive_lab import algebra, jacobi
 from reductive_lab.algebra import (DegenerateSpectrum, Polynomial, skew_spectra,
                                    skew_spectral_decomposition)
 from reductive_lab.catalog import entries, entry
 from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily, _detect_rows, check_ljr,
-                                  component_split, curvature_term, minimal_ljr,
-                                  sample_vectors)
-from reductive_lab.reductive import InfinitesimalModel, jacobi_operator
+                                  component_split, minimal_ljr, sample_vectors)
+from reductive_lab.reductive import InfinitesimalModel
 
 FIXED = {e.name: e for e in entries()}
 ACCOUNTING = ("samples_offered", "resampled", "skipped_zero", "dropped_nonmodal",
@@ -31,7 +31,7 @@ def models():
 
 def reference_operators(model, x, k):
     """R_0(X), ..., R_k(X) for one X, one product at a time."""
-    ops = [jacobi_operator(model, x)]
+    ops = [reference_jacobi_operator(model, x)]
     t = model.tau_matrix(x)
     while len(ops) <= k:
         ops.append(0.5 * (ops[-1] @ t - t @ ops[-1]))
@@ -76,7 +76,7 @@ def reference_queue(family, xs, seed):
             queue.append(v / np.linalg.norm(v))
             resampled += 1
             continue
-        if np.linalg.norm(jacobi_operator(family.model, x)) < 1e-14:
+        if np.linalg.norm(reference_jacobi_operator(family.model, x)) < 1e-14:
             skipped += 1
             continue
         accepted.append(len(spec.blocks))
@@ -110,11 +110,11 @@ def test_operators_is_the_one_row_stack(models):
 def test_curvature_terms_match_the_single_x_contraction(models):
     model = models["np:v3"]
     xs = sample_vectors(model.n, count=4, seed=2)
-    terms = JacobiFamily(model).curvature_terms(xs)
+    terms = model.curvature_term(xs)
     for x, term in zip(xs, terms):
         want = np.einsum("ujab,j,b->au", model.rbar, x, x)
         assert _rel(term, want) < 1e-13
-        assert _rel(curvature_term(model, x), want) < 1e-13
+        assert _rel(model.curvature_term(x), want) < 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
@@ -133,7 +133,7 @@ def test_batched_split_matches_per_spectrum_split(models, name):
             continue
         assert status[i] == len(spec.blocks)
         np.testing.assert_allclose(spectra.lams[i, :status[i]], spec.lams, rtol=1e-13)
-        r0 = jacobi_operator(model, x)
+        r0 = reference_jacobi_operator(model, x)
         want = reference_split(spec, r0)
         got = component_split(spec, r0)
         assert list(got) == list(want)
