@@ -1,6 +1,6 @@
 """Numeric kernels shared by the geometric modules.
 
-Polynomials with tolerance-based comparison, the canonical splitting of a
+Polynomials with trailing-zero trimming, the canonical splitting of a
 skew-symmetric operator into its kernel and invariant 2m-planes, and
 characteristic polynomials of small dense operators.  All arithmetic is
 double precision; exact rational input is converted once on entry.
@@ -26,7 +26,6 @@ __all__ = [
     "skew_spectra",
     "skew_spectral_decomposition",
     "characteristic_polynomial",
-    "symmetric_basis",
     "operator_on_symmetric",
 ]
 
@@ -76,48 +75,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coefficients.size == 0
 
-    def __call__(self, x):
-        if self.is_zero:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return npoly.polyval(x, self.coefficients)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return Polynomial(self.coefficients / self.coefficients[-1])
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial([])
         return Polynomial(npoly.polymul(self.coefficients, other.coefficients))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npoly.polyadd(
-            self.coefficients if not self.is_zero else [0.0],
-            other.coefficients if not other.is_zero else [0.0]))
-
-    def __divmod__(self, other: "Polynomial"):
-        assert not other.is_zero
-        if self.is_zero:
-            return Polynomial([]), Polynomial([])
-        quo, rem = npoly.polydiv(self.coefficients, other.coefficients)
-        return Polynomial(quo), Polynomial(rem)
-
-    def almost_equal(self, other: "Polynomial", tol: float = RESIDUAL_TOL) -> bool:
-        """Coefficient-wise comparison after normalizing both sides to monic."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        a, b = self.monic().coefficients, other.monic().coefficients
-        if a.size != b.size:
-            return False
-        return bool(np.max(np.abs(a - b)) < tol)
-
-    def divides(self, other: "Polynomial", tol: float = RESIDUAL_TOL) -> bool:
-        """True when the division remainder of other by self vanishes within tol."""
-        if self.is_zero:
-            return other.is_zero
-        _, rem = divmod(other.monic(), self.monic())
-        return rem.is_zero or bool(np.max(np.abs(rem.coefficients)) < tol)
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(self.coefficients),)
@@ -167,14 +128,18 @@ class SkewSpectrum:
 
     def check(self) -> None:
         lams = self.lams
-        assert np.all(lams > 0)
-        assert np.all(np.diff(lams) > 0), "block eigenvalues must increase strictly"
+        if not np.all(lams > 0):
+            raise AssertionError("block eigenvalues must be positive")
+        if not np.all(np.diff(lams) > 0):
+            raise AssertionError("block eigenvalues must increase strictly")
         frames = [self.zero_space] + [b.basis for b in self.blocks]
         q = np.hstack([f for f in frames if f.shape[1] > 0])
-        assert q.shape == (self.dim, self.dim), "blocks and kernel must span"
+        if q.shape != (self.dim, self.dim):
+            raise AssertionError("blocks and kernel must span")
         check_close(q.T @ q, np.eye(self.dim), RESIDUAL_TOL)
         for b in self.blocks:
-            assert b.basis.shape[1] % 2 == 0
+            if b.basis.shape[1] % 2:
+                raise AssertionError("a block must have even dimension")
             check_close(b.j @ b.j, -b.projection, RESIDUAL_TOL)
             check_close(b.j @ b.projection, b.j, RESIDUAL_TOL)
 
@@ -288,7 +253,8 @@ def characteristic_polynomial(L) -> Polynomial:
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    assert L.shape == (n, n)
+    if L.shape != (n, n):
+        raise AssertionError("characteristic polynomial of a non-square matrix")
     scale = float(np.linalg.norm(L))
     if scale == 0.0:
         return Polynomial([0.0] * n + [1.0])
@@ -306,27 +272,13 @@ def characteristic_polynomial(L) -> Polynomial:
     return Polynomial(coeffs, zero_tol=0.0)
 
 
-def symmetric_basis(n: int):
-    """Orthonormal basis of symmetric n x n matrices under <S,T> = tr(ST)."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-    return basis
-
-
 def operator_on_symmetric(f, n: int) -> np.ndarray:
-    """Matrix of a linear map on Sym(n) in the symmetric_basis coordinates."""
-    basis = symmetric_basis(n)
-    cols = []
-    for e in basis:
-        fe = f(e)
-        cols.append([np.sum(fe * b) for b in basis])
-    return np.array(cols).T
+    """Matrix of a linear map f on Sym(n) in orthonormal coordinates under
+    <S,T> = tr(ST): the entries i <= j in row-major order, weighted sqrt(2)
+    off the diagonal.  f is applied once per basis element."""
+    i, j = np.triu_indices(n)
+    weights = np.where(i == j, 1.0, np.sqrt(2.0))
+    basis = np.zeros((len(i), n, n))
+    basis[np.arange(len(i)), i, j] = basis[np.arange(len(i)), j, i] = 1.0 / weights
+    images = np.array([f(e) for e in basis])
+    return (images[:, i, j] * weights).T

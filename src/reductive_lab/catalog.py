@@ -68,19 +68,22 @@ __all__ = [
 
 def _matrix_gram(g: LieAlgebra) -> np.ndarray:
     mats = g.matrices
-    assert mats is not None, "algebra carries no matrix realization"
+    if mats is None:
+        raise AssertionError("algebra carries no matrix realization")
     stack = np.array(mats)
     return np.einsum("ipq,jqp->ij", stack, stack, optimize=True)  # tr(A_i A_j)
 
 
-def _coords(g: LieAlgebra, mat) -> np.ndarray:
-    """g-coordinates of a matrix lying in the span of g.matrices."""
+def _coords(g: LieAlgebra, mats) -> np.ndarray:
+    """g-coordinates of matrices lying in the span of g.matrices, one column
+    per matrix, from one least-squares solve."""
     span = np.column_stack([np.asarray(m, float).reshape(-1) for m in g.matrices])
-    target = np.asarray(mat, dtype=float).reshape(-1)
-    coeff, *_ = np.linalg.lstsq(span, target, rcond=None)
-    residual = np.linalg.norm(span @ coeff - target)
-    assert residual < 1e-9 * max(1.0, np.linalg.norm(target)), \
-        "matrix does not lie in the algebra: residual %.3e" % residual
+    targets = np.column_stack([np.asarray(m, float).reshape(-1) for m in mats])
+    coeff, *_ = np.linalg.lstsq(span, targets, rcond=None)
+    residuals = np.linalg.norm(span @ coeff - targets, axis=0)
+    bad = residuals[~(residuals < 1e-9 * np.maximum(1.0, np.linalg.norm(targets, axis=0)))]
+    if bad.size:
+        raise AssertionError("matrix does not lie in the algebra: residual %.3e" % bad[0])
     return coeff
 
 
@@ -181,13 +184,9 @@ def _berger_pieces(n: int, kappa: int):
     if kappa > 0:
         g = su(n + 1)
         form = trace_multiple(g, -0.25)
-        h_cols = [_coords(g, m) for m in su_generators(n, n + 1)]
         center = 1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)
-        z_col = _coords(g, realify(center))
-        h = (np.column_stack(h_cols) if h_cols
-             else np.zeros((g.dim, 0)))
-        k = np.column_stack([h, z_col]) if h_cols else z_col.reshape(-1, 1)
-        return g, k, h, form
+        k = _coords(g, su_generators(n, n + 1) + [realify(center)])
+        return g, k, k[:, :-1], form
     g = _su_hyperbolic(n)
     form = trace_multiple(g, 0.25)
     e = np.eye(g.dim)
@@ -219,10 +218,11 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
     t = model.tau_matrix(np.eye(model.n)[-1])
     eigs = np.linalg.eigvalsh(-t @ t)
     top = float(eigs[-1])
-    assert top > 1e-8, "tau_x vanishes"
+    if not top > 1e-8:
+        raise AssertionError("tau_x vanishes")
     block = eigs[eigs > 1e-8 * top]
-    assert float(block.max() - block.min()) < 1e-8 * top, \
-        "nonzero spectrum of -tau_x^2 is not constant"
+    if not float(block.max() - block.min()) < 1e-8 * top:
+        raise AssertionError("nonzero spectrum of -tau_x^2 is not constant")
     return float(block.mean())
 
 
@@ -276,7 +276,8 @@ def berger_consistency(n: int, s: float) -> dict:
     round_model = _model_of(extend_fibered(base, h_cols, star)
                             if star != 0.0 else build_triple(g, h_cols, form))
     spread, values = _curvature_spread(round_model)
-    assert spread < 1e-8 * max(1.0, abs(values[0]))
+    if not spread < 1e-8 * max(1.0, abs(values[0])):
+        raise AssertionError("the round member is not round: spread %.3e" % spread)
     r2_round = 1.0 / float(values.mean())
     r2 = r2_round * (1.0 + star) / (1.0 + s)
 
@@ -288,7 +289,8 @@ def berger_consistency(n: int, s: float) -> dict:
         j /= np.sqrt(c2)
         hs = [holomorphic_sectional(base_model, j, x)
               for x in np.eye(base_model.n)]
-        assert max(hs) - min(hs) < 1e-8 * abs(hs[0])
+        if not max(hs) - min(hs) < 1e-8 * abs(hs[0]):
+            raise AssertionError("holomorphic sectional curvature of the base is not constant")
         kappa = float(np.mean(hs))
     return {"c2": c2, "r2": r2, "kappa": kappa,
             "lhs": 4.0 * c2, "rhs": r2 * kappa ** 2}
@@ -338,7 +340,8 @@ def cp3_twistor(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     axis = np.zeros(5)
     axis[4] = 1.0
     h = stabilizer_subalgebra(g, g.matrices, [omega, axis])
-    assert h.shape[1] == 4
+    if h.shape[1] != 4:
+        raise AssertionError("u(2) stabilizer has dimension %d, not 4" % h.shape[1])
     return build_triple(g, h, killing_multiple(g, form_scale))
 
 
@@ -347,14 +350,16 @@ def s6_round(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     six-sphere with its non-symmetric reductive structure."""
     base = so(7)
     g2_cols = stabilizer_subalgebra(base, base.matrices, g2_sigma().values)
-    assert g2_cols.shape[1] == 14
+    if g2_cols.shape[1] != 14:
+        raise AssertionError("g2 stabilizer has dimension %d, not 14" % g2_cols.shape[1])
     mats = [sum(float(c) * m for c, m in zip(col, base.matrices))
             for col in g2_cols.T]
     g2 = from_matrix_algebra(mats)
     axis = np.zeros(7)
     axis[6] = 1.0
     su3_cols = stabilizer_subalgebra(g2, g2.matrices, axis)
-    assert su3_cols.shape[1] == 8
+    if su3_cols.shape[1] != 8:
+        raise AssertionError("su(3) stabilizer has dimension %d, not 8" % su3_cols.shape[1])
     return build_triple(g2, su3_cols, killing_multiple(g2, form_scale))
 
 
@@ -409,9 +414,11 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
             op[:, idx] = (a.T @ w + w @ a).reshape(-1)
         rows.append(op)
     pairing = null_space(np.vstack(rows))
-    assert pairing.shape[1] == 1
+    if pairing.shape[1] != 1:
+        raise AssertionError("invariant pairing space has dimension %d, not 1" % pairing.shape[1])
     omega = pairing[:, 0].reshape(4, 4)
-    assert np.max(np.abs(omega + omega.T)) < 1e-9
+    if not np.max(np.abs(omega + omega.T)) < 1e-9:
+        raise AssertionError("invariant pairing is not antisymmetric")
 
     # u(4) basis: X skew, iY with Y symmetric
     u4 = []
@@ -430,11 +437,12 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
         cond[:16, idx] = val.real
         cond[16:, idx] = val.imag
     coeff = null_space(cond)
-    assert coeff.shape[1] == 10
+    if coeff.shape[1] != 10:
+        raise AssertionError("sp(2) has dimension %d, not 10" % coeff.shape[1])
     mats = [realify(sum(float(c) * m for c, m in zip(col, u4)))
             for col in coeff.T]
     g = from_matrix_algebra(mats)
-    h = np.column_stack([_coords(g, realify(a)) for a in gens])
+    h = _coords(g, [realify(a) for a in gens])
     return build_triple(g, h, killing_multiple(g, form_scale))
 
 
@@ -455,8 +463,7 @@ def su4_sphere() -> ReductiveTriple:
     """su(4) modulo the upper-left su(3): the strict normal structure on the
     seven-sphere."""
     g = su(4)
-    h_cols = [_coords(g, m) for m in su_generators(3, 4)]
-    return build_triple(g, np.column_stack(h_cols), trace_multiple(g, -0.25))
+    return build_triple(g, _coords(g, su_generators(3, 4)), trace_multiple(g, -0.25))
 
 
 def sp2_sp1_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
@@ -472,14 +479,16 @@ def sp2_sp1_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
 
 def rescale_model(model: InfinitesimalModel, t: float) -> InfinitesimalModel:
     """Model of the metric scaled by t > 0, in its orthonormal frame."""
-    assert t > 0
+    if not t > 0:
+        raise AssertionError("the metric scale must be positive")
     return InfinitesimalModel(model.tau / np.sqrt(t), model.rbar / t)
 
 
 def rescaled_to_scalar(model: InfinitesimalModel, target: float) -> InfinitesimalModel:
     """Rescale the metric so the scalar curvature equals target."""
     current = scalar_curvature(model)
-    assert current * target > 0, "scalar curvature cannot change sign"
+    if not current * target > 0:
+        raise AssertionError("scalar curvature cannot change sign")
     return rescale_model(model, current / target)
 
 

@@ -566,65 +566,56 @@ def trace_free_part(t, k: int) -> np.ndarray:
     return out[np.ix_(*ranks)].reshape((n,) * (m + 2))
 
 
-def _stencils(n, m):
-    """Polarization stencils of Sym^m in n variables.
+def _coefficients(model: InfinitesimalModel, k: int) -> np.ndarray:
+    """Monomial coefficients of R_k(X) = sum_alpha c[alpha] x^alpha, one
+    (n, n) matrix per multiset alpha of _msets(n, k+2), shape (N, n, n).
 
-    The value of a multiset alpha is sum over the nonzero mu <= hist(alpha)
-    of (-1)^(m - |mu|) prod_i C(hist_i, mu_i) f(mu), over m!.  Returns the
-    distinct stencil vectors mu (S, n) and that sum as a coefficient matrix
-    in COO form: rows (multiset index, ascending), columns (stencil index)
-    and integer values, each row's entries in lexicographic order of mu.
+    R_0 is quadratic: c[{a,a}] = R_0(e_a) and c[{a,b}] = R_0(e_a + e_b) -
+    R_0(e_a) - R_0(e_b), from one stacked R_0.  T_X is linear in X, so
+    c'[beta] sums (c[beta - i] tau_i - tau_i c[beta - i]) / 2 over the
+    distinct i in beta, tau_i = tau_(e_i).
     """
-    alphas = _msets(n, m)
-    hist = np.sum(alphas[:, :, None] == np.arange(n), axis=1)
-    binom = np.array([[comb(c, u) for u in range(m + 1)] for c in range(m + 1)])
-    rows = np.arange(len(alphas))
-    key = np.zeros(len(alphas), dtype=np.int64)  # mu in base m + 1, mu_0 leading
-    size = np.zeros(len(alphas), dtype=np.int64)
-    coef = np.ones(len(alphas), dtype=np.int64)
-    for i in range(n):  # expand coordinate i of every partial mu over 0..hist_i
-        reps = hist[rows, i] + 1
-        u = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.repeat(rows, reps)
-        key = np.repeat(key, reps) * (m + 1) + u
-        size = np.repeat(size, reps) + u
-        coef = np.repeat(coef, reps) * binom[hist[rows, i], u]
-    keep = size > 0
-    keys, cols = np.unique(key[keep], return_inverse=True)
-    vectors = np.column_stack(np.unravel_index(keys, (m + 1,) * n))
-    signs = np.where((m - size[keep]) % 2, -1, 1)
-    return vectors.astype(float), rows[keep], cols, signs * coef[keep]
+    n = model.n
+    pairs = _msets(n, 2)
+    off = pairs[:, 0] != pairs[:, 1]
+    eye = np.eye(n)
+    r0 = jacobi_operator(model, eye[pairs[:, 0]] + off[:, None] * eye[pairs[:, 1]])
+    single = r0[~off]  # R_0(e_a), a ascending
+    c = r0 - off[:, None, None] * (single[pairs[:, 0]] + single[pairs[:, 1]])
+    tau = model.tau_matrix(eye)
+    for m in range(3, k + 3):
+        betas = _msets(n, m)
+        out = np.zeros((len(betas), n, n))
+        for slot in range(m):
+            i = betas[:, slot]
+            first = np.flatnonzero(betas[:, slot - 1] != i) if slot else np.arange(len(i))
+            prev = c[_rank(n, np.delete(betas[first], slot, axis=1))]
+            out[first] += 0.5 * (prev @ tau[i[first]] - tau[i[first]] @ prev)
+        c = out
+    return c
 
 
-def _polarize_compressed(family: JacobiFamily, d: int, seed: int):
-    """Compressed coordinates of the full multilinear tensor of R_(d+1),
-    recovered by polarizing over basis-vector sums: every distinct stencil
-    vector is evaluated in one stack.  Raises PolarizationRankDeficient when
-    the polarized tensor fails to reproduce the diagonal values it came from
-    at four random unit vectors."""
+def _compressed_tensor(family: JacobiFamily, d: int, seed: int):
+    """Compressed coordinates of the full symmetric tensor of R_(d+1), from
+    its monomial coefficients: entry (alpha, ij) is c[alpha]_ij w(ij) /
+    w(alpha).  Raises PolarizationRankDeficient when sum_alpha c[alpha]
+    x^alpha fails to reproduce family.operators at four random unit X."""
     n = family.n
-    m = d + 3
-    vectors, rows, cols, coef = _stencils(n, m)
-    top = np.concatenate([family.stack(vectors[chunk], d + 1)[:, -1].reshape(-1, n * n)
-                          for chunk in _row_chunks(len(vectors), (d + 2) * n * n)])
-    alphas = _msets(n, m)
-    values = np.array([np.bincount(rows, weights=coef * top[cols, e], minlength=len(alphas))
-                       for e in range(n * n)]).T.reshape(-1, n, n) / factorial(m)
-
-    mults = _weights(n, m) ** 2
+    c = _coefficients(family.model, d + 1)
+    alphas = _msets(n, d + 3)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
-        diag = np.einsum("a,aij->ij", mults * np.prod(x[alphas], axis=1), values)
+        diag = np.einsum("a,aij->ij", np.prod(x[alphas], axis=1), c)
         direct = family.operators(x, d + 1)[d + 1]
         scale = max(1.0, float(np.linalg.norm(direct)))
         if float(np.linalg.norm(diag - direct)) > 1e-8 * scale:
             raise PolarizationRankDeficient(
-                "polarized tensor does not reproduce diagonal values")
+                "tensor coefficients do not reproduce diagonal values")
 
     i, j = _msets(n, 2).T
-    return (values[:, i, j] * np.outer(_weights(n, m), _weights(n, 2))).reshape(-1)
+    return (c[:, i, j] * np.outer(1.0 / _weights(n, d + 3), _weights(n, 2))).reshape(-1)
 
 
 def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
@@ -633,7 +624,7 @@ def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
     built entirely from metric terms."""
     if not 0 <= d <= 5:
         raise ValueError("twistor degree d must be in 0..5, got d = %d" % d)
-    vec = _polarize_compressed(family, d, seed)
+    vec = _compressed_tensor(family, d, seed)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         return 0.0

@@ -59,7 +59,8 @@ class LieAlgebra:
         self.dim = int(dim)
         if labels is None:
             labels = ["e%d" % i for i in range(self.dim)]
-        assert len(labels) == self.dim
+        if len(labels) != self.dim:
+            raise AssertionError("%d labels for dimension %d" % (len(labels), self.dim))
         self.labels = list(labels)
 
         if isinstance(brackets, dict):
@@ -146,7 +147,8 @@ class LieAlgebra:
 class BilinearForm:
     def __init__(self, matrix, name: str = "B"):
         m = np.asarray(matrix, dtype=float)
-        assert np.max(np.abs(m - m.T)) < 1e-12, "form must be symmetric"
+        if not np.max(np.abs(m - m.T)) < 1e-12:
+            raise AssertionError("form must be symmetric")
         self.matrix = 0.5 * (m + m.T)
         self.name = name
 
@@ -212,7 +214,8 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
     if isinstance(tensors, np.ndarray):
         tensors = [tensors]
     reps = [np.asarray(m, dtype=float) for m in rep_matrices]
-    assert len(reps) == g.dim
+    if len(reps) != g.dim:
+        raise AssertionError("%d representation matrices for dimension %d" % (len(reps), g.dim))
     rows = []
     for t in tensors:
         t = np.asarray(t, dtype=float)
@@ -233,7 +236,8 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
     # closure check: brackets of kernel elements stay inside the kernel span
     b = g.brackets(kernel, kernel)
     worst = float(np.max(np.linalg.norm(b - b @ (kernel @ kernel.T), axis=-1)))
-    assert worst < 1e-9, "stabilizer not closed under bracket: %.3e" % worst
+    if not worst < 1e-9:
+        raise AssertionError("stabilizer not closed under bracket: %.3e" % worst)
     return kernel
 
 
@@ -255,7 +259,9 @@ def orthocomplement(g: LieAlgebra, subspace, B: BilinearForm) -> np.ndarray:
     if s.shape[1] and np.linalg.matrix_rank(gram, tol=1e-10) < s.shape[1]:
         raise DegenerateRestriction("B restricts degenerately to the subspace")
     comp = null_space(s.T @ B.matrix)
-    assert comp.shape[1] == g.dim - s.shape[1]
+    if comp.shape[1] != g.dim - s.shape[1]:
+        raise AssertionError("complement has dimension %d, not %d"
+                             % (comp.shape[1], g.dim - s.shape[1]))
     return comp
 
 

@@ -46,7 +46,8 @@ class ThreeForm:
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
-        assert values.ndim == 3 and len(set(values.shape)) == 1
+        if values.ndim != 3 or len(set(values.shape)) != 1:
+            raise AssertionError("a 3-form needs shape (n, n, n), got %s" % (values.shape,))
         scale = max(1.0, float(np.abs(values).max()))
         for axes in [(1, 0, 2), (0, 2, 1)]:
             if np.abs(values + values.transpose(axes)).max() > 1e-12 * scale:
@@ -59,7 +60,8 @@ class ThreeForm:
         """Build from 1-based strictly increasing index triples."""
         values = np.zeros((n, n, n))
         for (i, j, k), coeff in components.items():
-            assert 1 <= i < j < k <= n
+            if not 1 <= i < j < k <= n:
+                raise AssertionError("index triple %s is not increasing in 1..%d" % ((i, j, k), n))
             for perm in itertools.permutations((i - 1, j - 1, k - 1)):
                 values[perm] = coeff * _perm_sign(perm)
         return cls(values)
@@ -180,7 +182,8 @@ def fit_vcp_multiple(tau: ThreeForm, seed: int = 0):
     c is fitted as 1/median of |tau_X Y| over 48 orthonormal pairs, so a
     single aligned pair cannot skew the verdict.
     """
-    assert tau.n in (3, 7)
+    if tau.n not in (3, 7):
+        raise AssertionError("vector cross products exist in dimension 3 and 7, not %d" % tau.n)
     norms = [float(np.linalg.norm(tau.apply(x, y)))
              for x, y in _orthonormal_pairs(tau.n, 48, seed)]
     med = float(np.median(norms))

@@ -12,6 +12,9 @@ function pass; any other `**mapping` sets every parameter.
 Every name a module exports in __all__ is used by the library, by the
 benchmark or by the acceptance criteria.  An export only unit tests call
 is test code; move it into the tests that use it, or delete it.
+
+No `assert` statement is left in src/: python -O strips them, so an
+invariant raises AssertionError explicitly instead.
 """
 
 import ast
@@ -196,3 +199,9 @@ def test_paper_checks_are_real_exports():
                (check.partition(".") for check in PAPER_CHECKS))
     assert PAPER_CHECKS <= set(unused_exports())
 
+
+
+def test_no_assert_statement_in_src():
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

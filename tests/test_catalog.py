@@ -428,7 +428,8 @@ class TestRegistry:
                 continue
             v = verdicts[name]
             assert v.exists, name
-            assert v.polynomial.almost_equal(e.expected, tol=COEFF_TOL), name
+            got, want = (q.coefficients / q.coefficients[-1] for q in (v.polynomial, e.expected))
+            assert got.shape == want.shape and np.max(np.abs(got - want)) < COEFF_TOL, name
             assert v.max_residual < RESIDUAL_TOL, name
 
     def test_every_model_is_validated_on_build(self, built):
@@ -462,3 +463,12 @@ class TestRegistry:
     def test_unknown_identifiers(self, name):
         with pytest.raises(KeyError):
             catalog.entry(name)
+
+
+def test_coords_solve_all_columns_and_reject_one_outside_the_algebra():
+    g = su(3)
+    np.testing.assert_allclose(catalog._coords(g, g.matrices[2:5]), np.eye(g.dim)[:, 2:5],
+                               atol=1e-12)
+    inside = g.matrices[0]
+    with pytest.raises(AssertionError, match="does not lie in the algebra"):
+        catalog._coords(g, [inside, np.eye(len(inside))])

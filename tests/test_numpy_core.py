@@ -172,6 +172,7 @@ import numpy as np
 from reductive_lab.algebra import SkewBlock, SkewSpectrum
 from reductive_lab.liealg import BilinearForm, LieAlgebra
 from reductive_lab.reductive import ReductiveTriple
+from reductive_lab.vcp import fit_vcp_multiple, su3_tau
 
 if __debug__:
     raise SystemExit("run with python -O")
@@ -181,7 +182,11 @@ for build in (
         # basis columns of length 1.1: the frame is not orthonormal
         lambda: SkewSpectrum(np.zeros((2, 0)), [SkewBlock(1.0, 1.1 * np.eye(2), j, np.eye(2))]),
         lambda: ReductiveTriple(LieAlgebra(2, {}), np.zeros((2, 0)), BilinearForm(np.eye(2)),
-                                1.1 * np.eye(2))):
+                                1.1 * np.eye(2)),
+        # a six-dimensional form: vector cross products exist in dimension 3 and 7 only
+        lambda: fit_vcp_multiple(su3_tau()),
+        lambda: BilinearForm(np.triu(np.ones((2, 2)))),
+        lambda: LieAlgebra(2, {}, labels=["a"])):
     try:
         build()
         messages.append(None)
@@ -194,9 +199,12 @@ print(json.dumps(messages))
 def test_invariant_checks_run_under_optimize():
     out = _python("-O", "-c", BROKEN_UNDER_O)
     assert out.returncode == 0, out.stderr
-    spectrum, triple = json.loads(out.stdout)
+    spectrum, triple, cross, form, labels = json.loads(out.stdout)
     assert spectrum.startswith("Not equal to tolerance rtol=1e-07, atol=1e-08")
     assert "m-basis not B-orthonormal" in triple
+    assert cross == "vector cross products exist in dimension 3 and 7, not 6"
+    assert form == "form must be symmetric"
+    assert labels == "1 labels for dimension 2"
 
 
 BROKEN_STACK_UNDER_O = """
@@ -253,7 +261,7 @@ tau = np.zeros((3, 3, 3))
 tau[0, 1, 2] = 1.0  # not skew in any pair of slots
 messages = []
 for call in (
-        # degree 36: the recheck is about 3.1e-7 against the 1e-7 bound
+        # degree 36: the recheck is about 1.4e-7 against the 1e-7 bound
         lambda: universal_jr(JacobiFamily(model), sample_vectors(9, 1)[0]),
         lambda: InfinitesimalModel(tau, np.zeros((3, 3, 3, 3))),
         lambda: InfinitesimalModel(np.zeros((3, 3, 3)), np.zeros((3, 3, 3))),

@@ -3,11 +3,12 @@
 The COO contraction map against the Python-loop construction it replaced;
 the conjugate-gradient trace projection against scipy's lsmr; the isotropy
 flows against scipy's expm; the golden-section round member against
-Brent's bounded search.  scipy serves only as the oracle here.
+Brent's bounded search; the monomial coefficients of R_(d+1) against the
+stencil polarization they replaced.  scipy serves only as the oracle here.
 """
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_projection_matches_lsmr(families, ident, d):
     sparse = pytest.importorskip("scipy.sparse")
     linalg = pytest.importorskip("scipy.sparse.linalg")
     family = families[ident]
-    vec = jacobi._polarize_compressed(family, d, 0)
+    vec = jacobi._compressed_tensor(family, d, 0)
     rows, cols, vals, count = jacobi._contraction_matrix(family.n, d + 1)
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(count, len(vec)))
     sol = linalg.lsmr(mat.T, vec, atol=1e-14, btol=1e-14, maxiter=8 * count)[0]
@@ -138,3 +139,77 @@ def test_round_parameter_matches_brent(build, lo, hi):
     brent = optimize.minimize_scalar(spread, bounds=(lo, hi), method="bounded",
                                      options={"xatol": 1e-10})
     assert abs(catalog.round_parameter(build, lo, hi) - brent.x) < 1e-8
+
+
+def _stencils(n, m):
+    """Polarization stencils of Sym^m in n variables.
+
+    The value of a multiset alpha is sum over the nonzero mu <= hist(alpha)
+    of (-1)^(m - |mu|) prod_i C(hist_i, mu_i) f(mu), over m!.  Returns the
+    distinct stencil vectors mu (S, n) and that sum as a coefficient matrix
+    in COO form: rows (multiset index), columns (stencil index) and
+    integer values.
+    """
+    alphas = jacobi._msets(n, m)
+    hist = np.sum(alphas[:, :, None] == np.arange(n), axis=1)
+    binom = np.array([[comb(c, u) for u in range(m + 1)] for c in range(m + 1)])
+    rows = np.arange(len(alphas))
+    key = np.zeros(len(alphas), dtype=np.int64)  # mu in base m + 1, mu_0 leading
+    size = np.zeros(len(alphas), dtype=np.int64)
+    coef = np.ones(len(alphas), dtype=np.int64)
+    for i in range(n):  # expand coordinate i of every partial mu over 0..hist_i
+        reps = hist[rows, i] + 1
+        u = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.repeat(rows, reps)
+        key = np.repeat(key, reps) * (m + 1) + u
+        size = np.repeat(size, reps) + u
+        coef = np.repeat(coef, reps) * binom[hist[rows, i], u]
+    keep = size > 0
+    keys, cols = np.unique(key[keep], return_inverse=True)
+    vectors = np.column_stack(np.unravel_index(keys, (m + 1,) * n))
+    signs = np.where((m - size[keep]) % 2, -1, 1)
+    return vectors.astype(float), rows[keep], cols, signs * coef[keep]
+
+
+def _polarized_compressed(family, d):
+    """Compressed coordinates of the full tensor of R_(d+1), recovered by
+    polarizing over basis-vector sums: R_(d+1) at every stencil vector."""
+    n, m = family.n, d + 3
+    vectors, rows, cols, coef = _stencils(n, m)
+    top = family.stack(vectors, d + 1)[:, -1].reshape(-1, n * n)
+    count = len(jacobi._msets(n, m))
+    values = np.array([np.bincount(rows, weights=coef * top[cols, e], minlength=count)
+                       for e in range(n * n)]).T.reshape(-1, n, n) / factorial(m)
+    i, j = jacobi._msets(n, 2).T
+    return (values[:, i, j] * np.outer(jacobi._weights(n, m), jacobi._weights(n, 2))).reshape(-1)
+
+
+POLARIZED = ([("np:v1", d) for d in range(6)] + [("nk:flag", d) for d in range(5)]
+             + [("neg:sp2-sp1", 2)] + [("heisenberg:n=3,c=1.3", d) for d in range(4)]
+             + [("berger:n=3,s=0.7", d) for d in (2, 3)])
+
+
+@pytest.fixture(scope="module")
+def polarized_families():
+    return {ident: jacobi.JacobiFamily(entry(ident).build())
+            for ident in sorted({ident for ident, _ in POLARIZED})}
+
+
+@pytest.mark.parametrize("ident, d", POLARIZED)
+def test_coefficients_match_polarization(polarized_families, ident, d):
+    family = polarized_families[ident]
+    want = _polarized_compressed(family, d)
+    got = jacobi._compressed_tensor(family, d, 0)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ident", ["nk:flag", "np:v1"])
+@pytest.mark.parametrize("k", range(5))
+def test_coefficients_reproduce_the_stack(families, ident, k):
+    family = families[ident]
+    xs = np.random.default_rng(k).normal(size=(8, family.n))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    monomials = np.prod(xs[:, jacobi._msets(family.n, k + 2)], axis=2)  # (8, N)
+    got = np.einsum("xa,aij->xij", monomials, jacobi._coefficients(family.model, k))
+    want = family.stack(xs, k)[:, k]
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
