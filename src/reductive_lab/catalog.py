@@ -15,7 +15,6 @@ from .liealg import (
     LieAlgebra,
     direct_sum,
     from_matrix_algebra,
-    null_space,
     realify,
     so,
     sp,
@@ -229,7 +228,7 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
 def _curvature_spread(model: InfinitesimalModel):
     """Spread and values of the sectional curvature on 24 fixed-seed
     orthonormal pairs (x, y): x R_0(y) x."""
-    xs, ys = np.array(list(_orthonormal_pairs(model.n, 24, 0))).transpose(1, 0, 2)
+    xs, ys = _orthonormal_pairs(model.n, 24, 0)
     values = np.einsum("pa,pab,pb->p", xs, jacobi_operator(model, ys), xs)
     return float(values.max() - values.min()), values
 
@@ -384,65 +383,22 @@ def squashed_s7(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
     return build_triple(g, h, killing_multiple(g, form_scale))
 
 
-def _spin_32() -> list:
-    """Skew-Hermitian generators of the irreducible su(2) on C^4."""
-    jz = np.diag([1.5, 0.5, -0.5, -1.5])
-    jp = np.zeros((4, 4))
-    for row, m in enumerate((0.5, -0.5, -1.5)):
-        jp[row, row + 1] = np.sqrt(15.0 / 4.0 - m * (m + 1.0))
-    jm = jp.T
-    jx = 0.5 * (jp + jm)
-    jy = (jp - jm) / 2j
-    return [1j * jx, 1j * jy, 1j * jz.astype(complex)]
-
-
 def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
-    """sp(2) modulo the irreducible su(2).
+    """so(5) = sp(2) modulo the irreducible so(3) = su(2).
 
-    sp(2) is realized as the stabilizer in su(4) of the invariant
-    antisymmetric pairing of the irreducible representation.
+    so(3) acts on the traceless symmetric 3 x 3 matrices, R^5, by
+    conjugation; it is the stabilizer in so(5) of the invariant cubic
+    C(a, b, c) = tr(E_a E_b E_c) over an orthonormal basis E of them.
     """
-    gens = _spin_32()
-    basis = [m for m in np.eye(4)]
-    # invariant bilinear pairing: solve A^T W + W A = 0 over the generators
-    rows = []
-    for a in gens:
-        op = np.zeros((16, 16), dtype=complex)
-        for idx in range(16):
-            w = np.zeros((4, 4), dtype=complex)
-            w[idx // 4, idx % 4] = 1.0
-            op[:, idx] = (a.T @ w + w @ a).reshape(-1)
-        rows.append(op)
-    pairing = null_space(np.vstack(rows))
-    if pairing.shape[1] != 1:
-        raise AssertionError("invariant pairing space has dimension %d, not 1" % pairing.shape[1])
-    omega = pairing[:, 0].reshape(4, 4)
-    if not np.max(np.abs(omega + omega.T)) < 1e-9:
-        raise AssertionError("invariant pairing is not antisymmetric")
-
-    # u(4) basis: X skew, iY with Y symmetric
-    u4 = []
-    for p in range(4):
-        for q in range(p, 4):
-            if p != q:
-                m = np.zeros((4, 4), dtype=complex)
-                m[p, q], m[q, p] = 1.0, -1.0
-                u4.append(m)
-            m = np.zeros((4, 4), dtype=complex)
-            m[p, q] = m[q, p] = 1j
-            u4.append(m)
-    cond = np.zeros((32, len(u4)))
-    for idx, m in enumerate(u4):
-        val = (m.T @ omega + omega @ m).reshape(-1)
-        cond[:16, idx] = val.real
-        cond[16:, idx] = val.imag
-    coeff = null_space(cond)
-    if coeff.shape[1] != 10:
-        raise AssertionError("sp(2) has dimension %d, not 10" % coeff.shape[1])
-    mats = [realify(sum(float(c) * m for c, m in zip(col, u4)))
-            for col in coeff.T]
-    g = from_matrix_algebra(mats)
-    h = _coords(g, [realify(a) for a in gens])
+    e = np.zeros((5, 3, 3))
+    for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        e[a, i, j] = e[a, j, i] = np.sqrt(0.5)
+    e[3] = np.diag([1.0, -1.0, 0.0]) * np.sqrt(0.5)
+    e[4] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    g = so(5)
+    h = stabilizer_subalgebra(g, g.matrices, np.einsum("aij,bjk,cki->abc", e, e, e))
+    if h.shape[1] != 3:
+        raise AssertionError("so(3) stabilizer has dimension %d, not 3" % h.shape[1])
     return build_triple(g, h, killing_multiple(g, form_scale))
 
 

@@ -74,24 +74,8 @@ def _decimal_string(frac):
     return ("-" if frac < 0 else "") + s
 
 
-def _py(obj):
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _dump(report) -> str:
-    return json.dumps(_py(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
 
 
 def _poly_tokens(p: Polynomial):

@@ -68,13 +68,8 @@ def sample_vectors(n: int, count: int = 64, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(count, n))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
-    extra = [np.eye(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = np.zeros(n)
-            v[i] = v[j] = 1.0 / np.sqrt(2.0)
-            extra.append(v[None, :])
-    return np.vstack([xs] + extra)
+    i, j = np.triu_indices(n, 1)
+    return np.vstack([xs, np.eye(n), (np.eye(n)[i] + np.eye(n)[j]) / np.sqrt(2.0)])
 
 
 def t_apply(model: InfinitesimalModel, x, s) -> np.ndarray:
@@ -99,11 +94,24 @@ def _row_chunks(count: int, per_row: int):
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+def _sizes(r0, t, k: int) -> np.ndarray:
+    """Sizes s_j(X) = |R_0(X)|_F omega^j >= |R_j(X)|_F, j = 0..k, shape (N, k+1),
+    from stacks R_0(X), tau_X (N, n, n): omega = max(rho, 1e-4 |R_0(X)|_F^(1/2))
+    and rho = |(tau_X^2)^4|_F^(1/8) bounds |T_X| within n^(1/16).  They scale
+    like R_j with the metric and do not depend on the orthonormal frame."""
+    norm = np.linalg.norm(r0, axis=(1, 2))[:, None]
+    if k == 0:
+        return norm
+    rho = np.linalg.norm(np.linalg.matrix_power(t @ t, 4), axis=(1, 2)) ** 0.125
+    return norm * np.maximum(rho[:, None], 1e-4 * np.sqrt(norm)) ** np.arange(k + 1)
+
+
 class JacobiFamily:
     """Symmetrized curvature derivatives R_k(X) = T_X^k R_0(X) of a model,
     computed for stacks of base vectors X.
 
-    Every computed R_k(X) is checked to be symmetric and to annihilate X.
+    Every computed R_k(X) is checked to be symmetric and to annihilate X up
+    to 1e-9 s_k(X) (see _sizes).
     """
 
     def __init__(self, model: InfinitesimalModel):
@@ -118,12 +126,11 @@ class JacobiFamily:
         ops[:, 0] = jacobi_operator(self.model, xs)
         for i in range(1, k + 1):
             ops[:, i] = 0.5 * (ops[:, i - 1] @ t - t @ ops[:, i - 1])
-        scale = np.maximum(1.0, np.linalg.norm(ops, axis=(2, 3)))
-        if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) >= 1e-9 * scale):
+        scale = 1e-9 * _sizes(ops[:, 0], t, k)
+        if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) > scale):
             raise AssertionError("R_k(X) is not symmetric")
-        xnorm = np.maximum(1.0, np.linalg.norm(xs, axis=1))[:, None]
-        image = ops @ xs[:, None, :, None]
-        if np.any(np.max(np.abs(image), axis=(2, 3)) >= 1e-9 * scale * xnorm):
+        image = np.max(np.abs(ops @ xs[:, None, :, None]), axis=(2, 3))
+        if np.any(image > scale * np.linalg.norm(xs, axis=1)[:, None]):
             raise AssertionError("R_k(X) does not annihilate X")
         return ops
 
@@ -134,7 +141,10 @@ class JacobiFamily:
 
 def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
               seed: int = 0) -> float:
-    """Max over samples of ||P(T_X) R_0(X)||_F / ||R_0(X)||_F, P monic."""
+    """Max over samples of the relation residual of a monic P = sum a_k
+    lambda^k: |sum a_k R_k(X)|_F / sum |a_k| s_k(X), s_k the size bound of
+    _sizes.  It does not depend on the metric scale or on the orthonormal
+    frame; samples with R_0(X) = 0 are skipped."""
     if abs(p.coefficients[-1] - 1.0) > 1e-12:
         raise ValueError("linear Jacobi relation polynomials must be monic")
     xs = samples if isinstance(samples, np.ndarray) else \
@@ -142,12 +152,11 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
     worst = 0.0
     for rows in _row_chunks(len(xs), (p.degree + 1) * family.n ** 2):
         ops = family.stack(xs[rows], p.degree)
-        norm = np.linalg.norm(ops[:, 0], axis=(1, 2))
-        total = p.coefficients[0] * ops[:, 0]
-        for i, a in enumerate(p.coefficients[1:], start=1):
-            total = total + a * ops[:, i]
-        keep = norm >= 1e-14
-        rel = np.linalg.norm(total[keep], axis=(1, 2)) / norm[keep]
+        size = _sizes(ops[:, 0], family.model.tau_matrix(xs[rows]), p.degree)
+        total = np.einsum("k,pkij->pij", p.coefficients, ops)
+        den = size @ np.abs(p.coefficients)
+        keep = den > 0
+        rel = np.linalg.norm(total[keep], axis=(1, 2)) / den[keep]
         worst = max(worst, float(np.max(rel, initial=0.0)))
     return worst
 
@@ -167,38 +176,42 @@ def component_split(spectrum, s) -> dict:
     js = np.array([b.j for b in blocks]).reshape(len(blocks), 1, spectrum.dim, spectrum.dim)
     parts = _split_stack(spectrum.reconstruct()[None], projections, js,
                          spectrum.lams[None], np.asarray(s, dtype=float)[None])
-    return {key: c[0] for key, c in parts}
+    return {key: c[0] for key, c, _ in parts}
 
 
 def _split_stack(a, projections, js, lams, s):
     """Components of symmetric S (..., N, n, n) along the skew spectra of a
     stack A (N, n, n) that all have r = len(js) blocks: projections (r+1,
     N, n, n) onto the kernel and the blocks, block complex structures js
-    (r, N, n, n), block values lams (N, r).  Yields (key, component) in
-    component_split's order, verifying each component and, after the last,
-    the completeness of the splitting, for every row.
+    (r, N, n, n), block values lams (N, r).  Yields (key, component, w) in
+    component_split's order, w the signed block-value combination of the
+    component per row (0, lambda_k, lambda_l - lambda_k or lambda_l +
+    lambda_k), verifying that each component is a -(A star)^2 eigenvector
+    with eigenvalue w^2 and, after the last, that they add up to S, for
+    every row.
     """
     snorm = np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
     scale = snorm * np.maximum(1.0, np.max(lams ** 2, axis=1, initial=1.0))
     total = np.zeros_like(s)
-    for key, c, eig in _split_parts(projections, js, lams, s):
+    for key, c, w in _split_parts(projections, js, lams, s):
         ac = a @ c - c @ a
-        resid = a @ ac - ac @ a + eig[:, None, None] * c
+        resid = a @ ac - ac @ a + (w ** 2)[:, None, None] * c
         if np.any(np.max(np.abs(resid), axis=(-2, -1)) >= 1e-8 * scale):
             raise AssertionError("component %s is not a -(A star)^2 eigenvector" % key)
         total += c
-        yield key, c
+        yield key, c, w
     if np.any(np.max(np.abs(total - s), axis=(-2, -1)) >= 1e-8 * snorm):
         raise AssertionError("the components do not add up to S")
 
 
 def _split_parts(projections, js, lams, s):
-    """(key, component, -(A star)^2 eigenvalue per row) of _split_stack."""
+    """(key, component, w per row) of _split_stack; w is exactly 0 for
+    "0,0" and "k,k:(1,1)", the components in the kernel of A star."""
     p0 = projections[0]
     yield "0,0", p0 @ s @ p0, np.zeros(len(lams))
     for k in range(1, len(js) + 1):
         pk, lk = projections[k], lams[:, k - 1]
-        yield "0,%d" % k, p0 @ s @ pk + pk @ s @ p0, lk ** 2
+        yield "0,%d" % k, p0 @ s @ pk + pk @ s @ p0, lk
         for l in range(k, len(js) + 1):
             pl, ll = projections[l], lams[:, l - 1]
             if l == k:
@@ -206,8 +219,8 @@ def _split_parts(projections, js, lams, s):
             else:
                 m, j = pk @ s @ pl + pl @ s @ pk, js[k - 1] + js[l - 1]
             jmj = j @ m @ j
-            yield "%d,%d:(1,1)" % (k, l), 0.5 * (m - jmj), (ll - lk) ** 2
-            yield "%d,%d:(2,0)+(0,2)" % (k, l), 0.5 * (m + jmj), (ll + lk) ** 2
+            yield "%d,%d:(1,1)" % (k, l), 0.5 * (m - jmj), ll - lk
+            yield "%d,%d:(2,0)+(0,2)" % (k, l), 0.5 * (m + jmj), ll + lk
 
 
 class LjrVerdict:
@@ -233,8 +246,9 @@ def _detect_rows(family: JacobiFamily, xs):
 
     Returns the block count of every row (-1 where the spectrum is
     degenerate, -2 where R_0(X) is near zero) and, per block count r, the
-    lambdas (N_r, r), the component keys and the component relnorms of R_0
-    and of the curvature term (N_r, K) of its rows, in row order.
+    lambdas (N_r, r), the component keys, the block-value combinations w
+    (N_r, K) of _split_stack and the component relnorms of R_0 and of the
+    curvature term (N_r, K) of its rows, in row order.
     """
     spectra = skew_spectra(family.model.tau_matrix(xs))
     status = np.where([r is None for r in spectra.reasons], spectra.counts, -1)
@@ -249,13 +263,14 @@ def _detect_rows(family: JacobiFamily, xs):
     for r in sorted(set(status[rows].tolist())):  # np.unique would import numpy.ma
         sel = np.flatnonzero(status[rows] == r)
         at = rows[sel]
-        keys, rel = [], []
-        for key, c in _split_stack(spectra.recon[at], spectra.projections[:r + 1, at],
-                                   spectra.js[:r, at], spectra.lams[at, :r], both[:, sel]):
+        keys, ws, rel = [], [], []
+        for key, c, w in _split_stack(spectra.recon[at], spectra.projections[:r + 1, at],
+                                      spectra.js[:r, at], spectra.lams[at, :r], both[:, sel]):
             keys.append(key)
+            ws.append(w)
             rel.append(np.linalg.norm(c, axis=(2, 3)) / norm[sel])
         rel = np.array(rel)  # (K, 2, N_r)
-        groups[r] = (spectra.lams[at, :r], keys, rel[:, 0].T, rel[:, 1].T)
+        groups[r] = (spectra.lams[at, :r], keys, np.array(ws).T, rel[:, 0].T, rel[:, 1].T)
     return status, groups
 
 
@@ -289,33 +304,27 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     while len(batch) and budget > 0:
         batch = batch[:budget]
         budget -= len(batch)
-        replacements = []
+        degenerate = 0
         for rows in _row_chunks(len(batch), n * n):
             status, found = _detect_rows(family, batch[rows])
             order += [int(r) for r in status if r >= 0]
             for r, record in found.items():
                 groups.setdefault(r, []).append(record)
             skipped_zero += int(np.sum(status == -2))
-            degenerate = int(np.sum(status == -1))
-            resampled += degenerate
-            for _ in range(degenerate):
-                v = rng.normal(size=n)
-                replacements.append(v / np.linalg.norm(v))
-        batch = np.array(replacements).reshape(-1, n)
+            degenerate += int(np.sum(status == -1))
+        resampled += degenerate
+        batch = rng.normal(size=(degenerate, n))
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
 
     if not order:
         raise InsufficientSamples("no sample produced a usable spectrum")
-    counts = {}
-    for r in order:
-        counts[r] = counts.get(r, 0) + 1
-    modal_r = max(counts, key=lambda r: counts[r])
+    modal_r = max(dict.fromkeys(order), key=order.count)  # first seen wins ties
     records = groups[modal_r]
-    lam = np.concatenate([rec[0] for rec in records])  # (N, r)
     keys = records[0][1]
-    rel = np.concatenate([rec[2] for rec in records])
-    rel_bar = np.concatenate([rec[3] for rec in records])
+    lam, w, rel, rel_bar = (np.concatenate([rec[i] for rec in records]) for i in (0, 2, 3, 4))
     max_rel = dict(zip(keys, rel.max(axis=0).tolist()))
     max_rel_bar = dict(zip(keys, rel_bar.max(axis=0).tolist()))
+    w = dict(zip(keys, w.T))
     if len(lam) < SAMPLE_FLOOR:
         raise InsufficientSamples(
             "only %d usable samples (floor %d)" % (len(lam), SAMPLE_FLOOR))
@@ -323,12 +332,11 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     keys = sorted(keys)
     vanish = {key: max_rel[key] < VANISH_TOL for key in keys}
     vanish_bar = {key: max_rel_bar[key] < VANISH_TOL for key in keys}
-    # the torsion-square part is block-diagonal, so the off-diagonal verdicts
-    # must agree whether computed from R_0 or from the curvature term alone
+    # the torsion-square part commutes with tau_X, so outside the kernel of
+    # the derivation (w = 0) the verdicts must agree whether computed from
+    # R_0 or from the curvature term alone
     for key in keys:
-        if key == "0,0" or key.endswith(":(1,1)") and _same_pair(key):
-            continue
-        if vanish[key] != vanish_bar[key]:
+        if np.any(w[key]) and vanish[key] != vanish_bar[key]:
             raise AssertionError(
                 "curvature-term cross-check disagrees on component %s" % key)
 
@@ -340,18 +348,9 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     factors = []
     lambda_stats = [rel_std(lam[:, k]) for k in range(modal_r)]
     for key in keys:
-        if vanish[key] or key == "0,0":
-            continue
-        pair, _, kind = key.partition(":")
-        k, l = (int(v) for v in pair.split(","))
-        if k == 0:
-            std, mean = lambda_stats[l - 1]
-        elif kind == "(1,1)":
-            if k == l:
-                continue  # in the kernel of the derivation, no factor needed
-            std, mean = rel_std(lam[:, l - 1] - lam[:, k - 1])
-        else:
-            std, mean = rel_std(lam[:, l - 1] + lam[:, k - 1])
+        if vanish[key] or not np.any(w[key]):
+            continue  # in the kernel of the derivation, no factor needed
+        std, mean = rel_std(w[key])
         if std >= CONSTANCY_TOL:
             failures.append({"component": key, "max_relnorm": max_rel[key],
                              "eigenvalue_rel_std": std})
@@ -390,11 +389,6 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
             return LjrVerdict(True, q, eigen_structure, resid)
     p = Polynomial([0.0] + list(q.coefficients))
     return LjrVerdict(True, p, eigen_structure, check_ljr(family, p, samples=xs))
-
-
-def _same_pair(key):
-    pair = key.partition(":")[0].split(",")
-    return pair[0] == pair[1]
 
 
 def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
@@ -488,7 +482,6 @@ def _extend(n, gammas, tails):
     return _rank(n, both).reshape(len(gammas), len(tails))
 
 
-@lru_cache(maxsize=None)
 def _contraction_matrix(n, k):
     """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords, in
     COO form: rows, columns, values and the row count.  Column a * nb + b

@@ -70,12 +70,14 @@ class ThreeForm:
         return float(np.einsum("i,j,k,ijk->", x, y, z, self.values))
 
     def apply(self, x, y) -> np.ndarray:
-        """The vector sigma_X Y (indices raised with the euclidean metric)."""
-        return np.einsum("i,j,ijk->k", x, y, self.values)
+        """The vector sigma_X Y (indices raised with the euclidean metric),
+        for one pair or for every row pair of two stacks."""
+        return np.einsum("...i,...j,ijk->...k", x, y, self.values)
 
     def matrix(self, x) -> np.ndarray:
-        """sigma_X as a skew matrix acting on column vectors."""
-        return np.einsum("i,ijk->kj", x, self.values)
+        """sigma_X as a skew matrix acting on column vectors, for one X or
+        for every row X of a stack."""
+        return np.einsum("...i,ijk->...kj", x, self.values)
 
     def scaled(self, c: float) -> "ThreeForm":
         return ThreeForm(c * self.values)
@@ -106,21 +108,13 @@ def su3_tau() -> ThreeForm:
     })
 
 
-def _unit_samples(n: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(count, n))
-    return xs / np.linalg.norm(xs, axis=1)[:, None]
-
-
 def _orthonormal_pairs(n: int, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        y = rng.normal(size=n)
-        y -= (y @ x) * x
-        y /= np.linalg.norm(y)
-        yield x, y
+    """Stacks xs, ys (count, n) of fixed-seed orthonormal pairs: unit x, and
+    y orthogonalized against x and normalized, from one (count, 2, n) draw."""
+    xs, ys = np.random.default_rng(seed).normal(size=(count, 2, n)).transpose(1, 0, 2)
+    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    ys = ys - np.sum(ys * xs, axis=1)[:, None] * xs
+    return xs, ys / np.linalg.norm(ys, axis=1)[:, None]
 
 
 def is_vcp(sigma: ThreeForm, seed: int = 0):
@@ -128,10 +122,8 @@ def is_vcp(sigma: ThreeForm, seed: int = 0):
 
     Returns (verdict, max deviation).
     """
-    worst = 0.0
-    for x, y in _orthonormal_pairs(sigma.n, 48, seed):
-        v = sigma.apply(x, y)
-        worst = max(worst, abs(float(v @ v) - 1.0))
+    v = sigma.apply(*_orthonormal_pairs(sigma.n, 48, seed))
+    worst = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
     return worst < SPECTRUM_TOL, worst
 
 
@@ -142,11 +134,9 @@ def is_gvcp(tau: ThreeForm, seed: int = 0):
     """
     if tau.norm() < 1e-14:
         return None
-    specs = []
-    for x in _unit_samples(tau.n, 48, seed):
-        m = tau.matrix(x)
-        specs.append(np.sort(np.linalg.eigvalsh(-(m @ m))))
-    specs = np.array(specs)
+    xs = np.random.default_rng(seed).normal(size=(48, tau.n))
+    m = tau.matrix(xs / np.linalg.norm(xs, axis=1)[:, None])
+    specs = np.linalg.eigvalsh(-(m @ m))  # ascending per row
     mean = specs.mean(axis=0)
     scale = max(float(specs.max()), 1e-300)
     if float(np.abs(specs - mean).max()) > SPECTRUM_TOL * scale:
@@ -184,8 +174,7 @@ def fit_vcp_multiple(tau: ThreeForm, seed: int = 0):
     """
     if tau.n not in (3, 7):
         raise AssertionError("vector cross products exist in dimension 3 and 7, not %d" % tau.n)
-    norms = [float(np.linalg.norm(tau.apply(x, y)))
-             for x, y in _orthonormal_pairs(tau.n, 48, seed)]
+    norms = np.linalg.norm(tau.apply(*_orthonormal_pairs(tau.n, 48, seed)), axis=1)
     med = float(np.median(norms))
     if med < 1e-12:
         return None

@@ -157,6 +157,16 @@ class TestNearlyParallel:
             np.testing.assert_allclose(poly_coeffs(v), [0, 1.0 / 36.0, 0, 1],
                                        atol=COEFF_TOL)
 
+    def test_v1_isotropy_is_the_irreducible_so3(self):
+        triple = catalog.v1_space()
+        assert triple.h_basis.shape[1] == 3
+        # ad(h) on m; its commutant is the kernel of M -> [ad h_i, M]
+        ads = triple.m_component(triple.g.brackets(triple.h_basis, triple.m_basis))
+        eye = np.eye(triple.dim_m)
+        system = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in ads])
+        sv = np.linalg.svd(system, compute_uv=False)
+        assert int(np.sum(sv < 1e-9 * sv[0])) == 1
+
     def test_torsions_classify_as_the_seven_dim_type(self, built):
         for name in ("np:spin7-g2", "np:squashed-s7", "np:v1", "np:v3"):
             form = vcp.ThreeForm(built[name].tau)

@@ -16,6 +16,7 @@ from conftest import (cp2_triple, heisenberg_closed_form,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductive_lab import catalog, jacobi
 from reductive_lab.algebra import (Polynomial, operator_on_symmetric,
                                    skew_spectral_decomposition)
 from reductive_lab.catalog import entries, entry
@@ -478,3 +479,67 @@ class TestFrameIndependence:
         diff = turned.polynomial.coefficients - base.polynomial.coefficients
         assert np.max(np.abs(diff)) < 1e-7
         assert turned.max_residual < 1e-8
+
+
+class TestScaleFreeResidual:
+    """The relation residual |sum a_k R_k| / sum |a_k| s_k does not depend on
+    the metric scale or the orthonormal frame, and it resolves a 1e-6
+    coefficient error."""
+
+    @pytest.mark.parametrize("name", [e.name for e in entries()])
+    def test_verdict_survives_rescaling_and_rotation(self, fixed_models, name):
+        model = fixed_models[name]
+        base = minimal_ljr(JacobiFamily(model))
+        turned = rotated(model, random_orthogonal(model.n, 2))
+        for t in np.logspace(-4, 4, 9):
+            for frame in (model, turned):
+                got = minimal_ljr(JacobiFamily(catalog.rescale_model(frame, t)))
+                assert got.exists == base.exists, t
+                if not base.exists:
+                    continue
+                deg = base.polynomial.degree
+                assert got.polynomial.degree == deg
+                assert got.max_residual < 1e-13
+                scaled = got.polynomial.coefficients * t ** ((deg - np.arange(deg + 1)) / 2)
+                diff = scaled - base.polynomial.coefficients
+                assert np.max(np.abs(diff)) < 1e-7 * max(1.0, np.max(np.abs(scaled))), t
+
+    def test_lowest_coefficient_error_fails_the_gate(self, fixed_models):
+        checked = []
+        for name, model in fixed_models.items():
+            family = JacobiFamily(model)
+            verdict = minimal_ljr(family)
+            if not verdict.exists or verdict.polynomial.degree < 3:
+                continue
+            coefficients = np.array(verdict.polynomial.coefficients)
+            coefficients[np.flatnonzero(coefficients)[0]] *= 1.0 + 1e-6
+            assert check_ljr(family, Polynomial(coefficients)) > jacobi.RESIDUAL_TOL, name
+            checked.append(name)
+        assert len(checked) == 10  # all but nk:s6, np:spin7-g2 and neg:sp2-sp1
+
+    @pytest.mark.parametrize("n, c", [(4, 1.718), (6, 1.679), (8, 1.267), (8, 2.0)])
+    def test_universal_relation_of_strong_heisenberg_torsion(self, n, c):
+        family = JacobiFamily(catalog.heisenberg_model(n, c))
+        x = sample_vectors(2 * n + 1, 1)[0]
+        p = universal_jr(family, x)
+        assert p.degree == (2 * n + 1) * n
+        assert check_ljr(family, p, samples=x[None, :]) < 1e-12
+
+    @pytest.mark.parametrize("name, turn", [("nk:flag", False), ("np:v3", False), ("np:v1", True)])
+    def test_small_scale_models_build_and_stack(self, fixed_models, name, turn):
+        model = fixed_models[name]
+        if turn:
+            model = rotated(model, random_orthogonal(model.n, 3))
+        small = catalog.rescale_model(model, 1e-4)
+        ops = JacobiFamily(small).stack(sample_vectors(small.n, count=8), 6)
+        assert np.all(np.isfinite(ops))
+
+    def test_omega_bounds_the_spectral_norm_of_tau(self, fixed_models):
+        model = fixed_models["np:v3"]
+        xs = sample_vectors(model.n, count=16)
+        t = model.tau_matrix(xs)
+        size = jacobi._sizes(jacobi_operator(model, xs), t, 1)
+        spectral = np.linalg.norm(t, ord=2, axis=(1, 2))
+        omega = size[:, 1] / size[:, 0]
+        assert np.all(omega >= spectral * (1 - 1e-12))
+        assert np.all(omega <= spectral * model.n ** (1 / 16) * (1 + 1e-12))

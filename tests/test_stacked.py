@@ -59,6 +59,15 @@ def reference_split(spectrum, s):
     return parts
 
 
+def reference_w(lams, key):
+    """The block-value combination of a component from its key: 0 for "0,0",
+    lambda_l for "0,l", lambda_l - lambda_k for "k,l:(1,1)" and lambda_l +
+    lambda_k for "k,l:(2,0)+(0,2)"."""
+    pair, _, kind = key.partition(":")
+    lk, ll = (lams[int(v) - 1] if v != "0" else 0.0 for v in pair.split(","))
+    return ll + lk if kind == "(2,0)+(0,2)" else ll - lk
+
+
 def reference_queue(family, xs, seed):
     """minimal_ljr's sample queue one X at a time: the block count of every
     accepted sample in order, and the resampled and skipped counts."""
@@ -139,12 +148,13 @@ def test_batched_split_matches_per_spectrum_split(models, name):
         assert list(got) == list(want)
         for key in want:
             assert _rel(got[key], want[key]) < 1e-12, key
-        lams, keys, rel, rel_bar = groups[status[i]]
+        lams, keys, w, rel, rel_bar = groups[status[i]]
         row = seen[status[i]]
         seen[status[i]] += 1
         norm = float(np.linalg.norm(r0))
         bar = reference_split(spec, np.einsum("ujab,j,b->au", model.rbar, x, x))
         for col, key in enumerate(keys):
+            assert abs(w[row, col] - reference_w(spec.lams, key)) < 1e-12, key
             assert abs(rel[row, col] - np.linalg.norm(want[key]) / norm) < 1e-12, key
             assert abs(rel_bar[row, col] - np.linalg.norm(bar[key]) / norm) < 1e-12, key
     assert seen == {r: len(g[0]) for r, g in groups.items()}
@@ -159,7 +169,12 @@ def test_check_ljr_matches_per_x_loop(models, name):
     for x in xs:
         ops = reference_operators(model, x, p.degree)
         total = sum(a * op for a, op in zip(p.coefficients, ops))
-        worst = max(worst, float(np.linalg.norm(total)) / float(np.linalg.norm(ops[0])))
+        norm = float(np.linalg.norm(ops[0]))
+        t = model.tau_matrix(x)
+        rho = float(np.linalg.norm(np.linalg.matrix_power(t @ t, 4))) ** 0.125
+        omega = max(rho, 1e-4 * np.sqrt(norm))
+        size = sum(abs(a) * norm * omega ** k for k, a in enumerate(p.coefficients))
+        worst = max(worst, float(np.linalg.norm(total)) / size)
     got = check_ljr(JacobiFamily(model), p, samples=xs)
     assert abs(got - worst) <= 1e-12 * max(1.0, worst)
 

@@ -12,7 +12,8 @@ import pytest
 
 from reductive_lab.liealg import so, stabilizer_subalgebra
 from reductive_lab.vcp import (G2_TYPE7, NOT_GVCP, SU3_TYPE6, VOLUME_TYPE3,
-                               InvalidS, ThreeForm, appendix_component_checks,
+                               InvalidS, ThreeForm, _orthonormal_pairs,
+                               appendix_component_checks,
                                classify_gvcp, fit_vcp_multiple, g2_sigma,
                                is_gvcp, is_vcp, su3_tau, volume_3form)
 
@@ -86,6 +87,23 @@ class TestThreeForm:
         m = f.matrix(x)
         np.testing.assert_allclose(m, -m.T, atol=1e-12)
         np.testing.assert_allclose(m @ y, f.apply(x, y), atol=1e-12)
+
+    def test_stacks_match_per_pair_loops(self):
+        f = random_three_form(7, seed=3)
+        xs, ys = _orthonormal_pairs(7, 16, 4)
+        rng = np.random.default_rng(4)  # the pair stream, one pair at a time
+        for x, y, mat, vec in zip(xs, ys, f.matrix(xs), f.apply(xs, ys)):
+            want_x = rng.normal(size=7)
+            want_x /= np.linalg.norm(want_x)
+            want_y = rng.normal(size=7)
+            want_y -= (want_y @ want_x) * want_x
+            want_y /= np.linalg.norm(want_y)
+            assert np.max(np.abs(x - want_x)) < 1e-14
+            assert np.max(np.abs(y - want_y)) < 1e-14
+            want_m = np.einsum("i,ijk->kj", x, f.values)
+            assert np.max(np.abs(mat - want_m)) < 1e-14
+            assert np.max(np.abs(vec - want_m @ y)) < 1e-14
+        assert f.matrix(xs[0]).shape == (7, 7) and f.apply(xs[0], ys[0]).shape == (7,)
 
     def test_volume_form_components(self):
         f = volume_3form()
