@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 JACOBI_TOL = 1e-10
+_JACOBI_BLOCK = 2 ** 14  # products per block of the sparse Jacobi sum
+_JACOBI_CHUNK = 2 ** 16  # entries per temporary of the dense Jacobi loop
 
 
 class DimensionMismatch(ValueError):
@@ -92,7 +94,8 @@ class LieAlgebra:
         i, j, k = np.nonzero(tensor)
         upper = i < j
         i, j, k = i[upper], j[upper], k[upper]
-        self.triples = tuple(zip(i.tolist(), j.tolist(), k.tolist(), tensor[i, j, k]))
+        self._upper = (i, j, k, tensor[i, j, k])  # the nonzero c^k_ij with i < j
+        self.triples = tuple(zip(i.tolist(), j.tolist(), k.tolist(), self._upper[3]))
         self.matrices = None  # set by from_matrix_algebra
 
         residual = self.jacobi_residual()
@@ -102,19 +105,27 @@ class LieAlgebra:
     def jacobi_residual(self) -> float:
         """Max |[ad e_i, ad e_j] - ad [e_i, e_j]| over i < j.
 
-        Entry-wise this is the cyclic Jacobi sum, checked one row i at a
-        time so memory stays O(dim^3).
+        Entry (k, m) of that defect is, up to sign and transpose, the cyclic
+        Jacobi sum J(i, j, k)^m = sum_l c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m.
+        Sparse constants sum only the products of nonzero constants
+        (_sparse_jacobi_residual).  Constants with more than dim^5 / 64
+        such products, where the dense loop's dim^5 flops are cheaper, or
+        with more than _JACOBI_BLOCK of them on one output index m, take the
+        dense loop over pairs (_dense_jacobi_residual).  Either way the
+        temporaries hold at most 2 * _JACOBI_BLOCK products or
+        max(_JACOBI_CHUNK, dim^2) entries at a time, beside a few arrays
+        as long as the list of nonzero constants.
         """
-        c = self.tensor
-        ads = c.transpose(0, 2, 1)  # ads[j] = ad(e_j)
-        flat = ads.reshape(self.dim, -1)
-        worst = 0.0
-        for i in range(self.dim):
-            rest = ads[i + 1:]
-            defect = ads[i] @ rest - rest @ ads[i] \
-                - (c[i, i + 1:] @ flat).reshape(rest.shape)
-            worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
-        return worst
+        dim = self.dim
+        a, b, out, _ = self._upper
+        # products c_xy^l c_lk^m (x < y) per output index m: each entry
+        # c_ab^m is a partner c_lk^m for l = a and for l = b, and each
+        # partner meets the count[l] entries with output l
+        count = np.bincount(out, minlength=dim)
+        per_m = np.bincount(out, weights=count[a] + count[b], minlength=dim).astype(np.int64)
+        if per_m.sum() * 64 > dim ** 5 or per_m.max(initial=0) > _JACOBI_BLOCK:
+            return _dense_jacobi_residual(self.tensor)
+        return _sparse_jacobi_residual(self._upper, per_m, dim)
 
     def brackets(self, xs, ys) -> np.ndarray:
         """All brackets [xs[:, a], ys[:, b]] as an (a, b, dim) array.
@@ -126,6 +137,8 @@ class LieAlgebra:
         if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != self.dim \
                 or ys.shape[0] != self.dim:
             raise DimensionMismatch("expected (%d, k) column stacks" % self.dim)
+        if xs.shape[1] > ys.shape[1]:  # contract the narrower stack first
+            return -self.brackets(ys, xs).transpose(1, 0, 2)
         partial = xs.T @ self.tensor.reshape(self.dim, self.dim ** 2)  # [x_a, e_j]
         return ys.T @ partial.reshape(xs.shape[1], self.dim, self.dim)
 
@@ -142,6 +155,77 @@ class LieAlgebra:
 
     def __repr__(self):
         return "LieAlgebra(dim=%d, nnz=%d)" % (self.dim, len(self.triples))
+
+
+def _dense_jacobi_residual(c):
+    """The defects [ad e_i, ad e_j] - ad [e_i, e_j], transposed, for j in
+    steps of at most max(1, _JACOBI_CHUNK // dim^2) at a time.
+    """
+    dim = len(c)
+    flat = c.reshape(dim, dim * dim)
+    step = max(1, _JACOBI_CHUNK // dim ** 2)
+    worst = 0.0
+    for i in range(dim):
+        for j in range(i + 1, dim, step):
+            rest = c[j:j + step]
+            defect = rest @ c[i] - c[i] @ rest - (c[i, j:j + step] @ flat).reshape(rest.shape)
+            worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
+def _sparse_jacobi_residual(upper, per_m, dim):
+    """The max of |J| over the products of nonzero constants.
+
+    J is alternating in (i, j, k), so it vanishes for k in {i, j} and the
+    maximum over sorted triples is the maximum over all.  Each product
+    c_ab^l c_lk^m of nonzero constants with a < b and k not in {a, b} is
+    one term of J at (a, b, k) sorted, signed by the sorting permutation
+    (odd exactly when a < k < b); the products with k in {a, b} cancel
+    exactly and count as zero.  per_m[m] counts the products with output
+    index m.  They are summed per (lo, mid, hi, m) in blocks of
+    consecutive m, a new block starting at each multiple of _JACOBI_BLOCK
+    products, so a block holds fewer than _JACOBI_BLOCK + max(per_m).
+    """
+    a, b, out, v = upper
+    # partners c_lk^m: every nonzero constant, both orders of (l, k)
+    partners = (np.concatenate([a, b]), np.concatenate([b, a]),
+                np.concatenate([out, out]), np.concatenate([v, -v]))
+    block = ((np.cumsum(per_m) - per_m) // _JACOBI_BLOCK)[partners[2]]
+    order = np.lexsort((partners[0], block))  # by block, then by l
+    partners = [p[order] for p in partners]
+    bounds = np.flatnonzero(np.diff(block[order], prepend=-1, append=-1))
+    worst = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # a call of its own, so that its temporaries are freed before the sort
+        key, term = _jacobi_terms(upper, [p[lo:hi] for p in partners], dim)
+        # sum the terms per key; a stable argsort shares lexsort's code, where
+        # np.unique would page in another sort of about 0.5 MB per process
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        group = np.cumsum(np.diff(key, prepend=key[:1]) != 0)
+        worst = max(worst, float(np.max(np.abs(np.bincount(group, weights=term[order])),
+                                        initial=0.0)))
+    return worst
+
+
+def _jacobi_terms(upper, partners, dim):
+    """Keys (lo, mid, hi, m) and signed values of the products c_ab^l c_lk^m
+    of the entries upper = (a, b, l, c_ab^l), a < b, with the entries
+    partners = (l, k, m, c_lk^m), which are sorted by l.
+    """
+    a, b, out, v = upper
+    first, second, pm, pv = partners
+    count = np.bincount(first, minlength=dim)
+    reps = count[out]
+    offset = np.cumsum(reps) - reps
+    start = np.cumsum(count) - count
+    part = np.arange(reps.sum()) + np.repeat(start[out] - offset, reps)  # the (l, k, m) entry
+    i, j, k = np.repeat(a, reps), np.repeat(b, reps), second[part]
+    term = np.repeat(v, reps) * pv[part]
+    term[(k == i) | (k == j)] = 0.0  # J(a, b, a) = J(a, b, b) = 0 exactly
+    term[(i < k) & (k < j)] *= -1.0
+    lo, hi = np.minimum(i, k), np.maximum(j, k)
+    return ((lo * dim + (i + j + k - lo - hi)) * dim + hi) * dim + pm[part], term
 
 
 class BilinearForm:
@@ -191,9 +275,17 @@ def from_matrix_algebra(matrices) -> LieAlgebra:
     pinv = np.linalg.pinv(span)
     scale = max(1.0, max(np.linalg.norm(m) for m in mats))
     i, j = np.triu_indices(d, 1)
-    comm = (stack[i] @ stack[j] - stack[j] @ stack[i]).reshape(i.size, -1)
+    comm = np.empty((i.size,) + stack.shape[1:])
+    p = 0
+    for a in range(d - 1):  # the rows of (a, a + 1), ..., (a, d - 1)
+        rest = stack[a + 1:]
+        comm[p:p + len(rest)] = stack[a] @ rest - rest @ stack[a]
+        p += len(rest)
+    comm = comm.reshape(i.size, -1)
     coords = comm @ pinv.T  # row p: [m_i, m_j] at (i[p], j[p]) in generator coordinates
-    residual = np.linalg.norm(coords @ span.T - comm, axis=1)
+    residual = np.empty(i.size)
+    for p in range(0, i.size, d):  # row blocks: no second (pairs, n^2) array
+        residual[p:p + d] = np.linalg.norm(coords[p:p + d] @ span.T - comm[p:p + d], axis=1)
     if residual.size:
         worst = int(np.argmax(residual))
         if residual[worst] > 1e-9 * scale ** 2:

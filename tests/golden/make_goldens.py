@@ -35,10 +35,10 @@ TWISTOR = {"np:v1": range(0, 4), "nk:flag": range(2, 5), "neg:sp2-sp1": range(2,
 PATH = pathlib.Path(__file__).with_name("reports.json")
 
 
-def berger_verify():
-    """Berger n = 4..7 for both kappa, with c^2 = 2(n+1)/(n|1+s|) as --poly."""
+def berger_verify(ns):
+    """Berger n in ns for both kappa, with c^2 = 2(n+1)/(n|1+s|) as --poly."""
     out = {}
-    for n in range(4, 8):
+    for n in ns:
         for kappa, s in BERGER_S.items():
             ident = "berger:n=%d,s=%s,kappa=%d" % (n, float(s), kappa)
             out[ident] = str(Fraction(2 * (n + 1)) / (n * abs(1 + s)))
@@ -48,8 +48,11 @@ def berger_verify():
 def cases():
     """(name, argv) of every golden report."""
     out = []
-    for ident, poly in list(FIXED_VERIFY.items()) + list(berger_verify().items()):
-        for seed in SEEDS:
+    runs = [(ident, poly, SEEDS) for ident, poly in FIXED_VERIFY.items()]
+    runs += [(ident, poly, SEEDS) for ident, poly in berger_verify(range(4, 8)).items()]
+    runs += [(ident, poly, (0,)) for ident, poly in berger_verify(range(8, 11)).items()]
+    for ident, poly, seeds in runs:
+        for seed in seeds:
             tail = ["--seed", str(seed), "--json"]
             out.append(("minpoly %s seed %d" % (ident, seed), ["minpoly", ident] + tail))
             out.append(("verify %s seed %d" % (ident, seed),

@@ -229,6 +229,12 @@ class TestBergerFamily:
         d = catalog.berger_consistency(n, s)
         assert abs(d["lhs"] - d["rhs"]) < 1e-10 * d["lhs"]
 
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_circle_length_consistency_up_to_dimension_21(self, n):
+        d = catalog.berger_consistency(n, 1.0)
+        assert abs(d["c2"] - 2.0 * (n + 1) / (n * 2.0)) < 1e-9 * d["c2"]
+        assert abs(d["lhs"] - d["rhs"]) < 1e-10 * d["lhs"]
+
     @pytest.mark.parametrize("n,s,want", [
         # the values of the version that rebuilt each extended model
         (1, 1.0, {"c2": 1.9999999999999996, "r2": 0.5, "kappa": 4.0,

@@ -2,9 +2,9 @@
 
 Each ref_* function below is the formula the library evaluated before its
 constructions became contractions against the structure tensor: a loop over
-pairs of single brackets, or for the Jacobi identity the whole dim^4 cyclic
-sum.  They are kept as test-only references; the contractions sum in another
-order, so results must agree to rounding.
+pairs of single brackets, or for the Jacobi identity the whole cyclic sum
+over all index triples.  They are kept as test-only references; the
+contractions sum in another order, so results must agree to rounding.
 """
 
 import re
@@ -21,6 +21,8 @@ from reductive_lab.liealg import (
     DimensionMismatch,
     LieAlgebra,
     NotClosed,
+    _dense_jacobi_residual,
+    direct_sum,
     from_matrix_algebra,
     orthocomplement,
     orthonormalize,
@@ -72,11 +74,17 @@ def ref_holonomy_residual(model):
 
 
 def ref_jacobi_residual(g):
-    """The cyclic Jacobi sum over all index triples, as a dim^4 array."""
-    c = g.tensor
-    d = np.einsum("ijm,mlk->ijlk", c, c)
-    cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(cyc)))
+    """The cyclic Jacobi sum over all index triples, one first index at a time.
+
+    J(i, j, k)^m = sum_l c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m."""
+    c, d = g.tensor, g.dim
+    flat = c.reshape(d, d * d)
+    worst = 0.0
+    for i in range(d):
+        cyc = (c[i] @ flat).reshape(d, d, d) + c @ c[:, i] \
+            + (c[:, i] @ flat).reshape(d, d, d).transpose(1, 0, 2)
+        worst = max(worst, float(np.max(np.abs(cyc), initial=0.0)))
+    return worst
 
 
 def ref_invariance_residual(form, g):
@@ -117,13 +125,14 @@ class TestBrackets:
     def test_matches_pairwise_formula(self):
         g = su(3)
         rng = np.random.default_rng(1)
-        xs, ys = rng.normal(size=(8, 3)), rng.normal(size=(8, 4))
-        out = g.brackets(xs, ys)
-        assert out.shape == (3, 4, 8)
-        for a in range(3):
-            for b in range(4):
-                np.testing.assert_allclose(out[a, b], ref_bracket(g, xs[:, a], ys[:, b]),
-                                           atol=1e-13)
+        for a_cols, b_cols in [(3, 4), (6, 2)]:  # xs narrower, then wider than ys
+            xs, ys = rng.normal(size=(8, a_cols)), rng.normal(size=(8, b_cols))
+            out = g.brackets(xs, ys)
+            assert out.shape == (a_cols, b_cols, 8)
+            for a in range(a_cols):
+                for b in range(b_cols):
+                    np.testing.assert_allclose(out[a, b], ref_bracket(g, xs[:, a], ys[:, b]),
+                                               atol=1e-13)
 
     def test_bracket_is_the_one_column_case(self):
         g = sp(2)
@@ -177,16 +186,61 @@ class TestToModel:
         assert broken.holonomy_residual() == pytest.approx(want, rel=1e-12)
 
 
+def random_antisymmetric(dim, seed):
+    """A LieAlgebra over random antisymmetric constants: not a Lie algebra."""
+    c = np.random.default_rng(seed).normal(size=(dim, dim, dim))
+    i, j = np.triu_indices(dim, 1)
+    entries = [(a, b, k, c[a, b, k]) for a, b in zip(i, j) for k in range(dim)]
+    return LieAlgebra(dim, entries, jacobi_tol=np.inf)
+
+
+def rotated(g, seed):
+    """g in a random orthonormal basis: every structure constant is nonzero."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(g.dim, g.dim)))
+    c = np.einsum("ia,jb,ijk,kc->abc", q, q, g.tensor, q, optimize=True)
+    i, j = np.triu_indices(g.dim, 1)
+    entries = [(a, b, k, c[a, b, k]) for a, b in zip(i, j) for k in range(g.dim)]
+    return LieAlgebra(g.dim, entries)
+
+
+EXACT_ALGEBRAS = {
+    **{"su%d" % n: (lambda n=n: su(n)) for n in range(3, 9)},
+    "sp2": lambda: sp(2),
+    "so7": lambda: so(7),
+    "sp2+sp1": lambda: direct_sum(sp(2), sp(1)),
+    "g2": lambda: catalog.s6_round().g,  # a generic basis: dense constants
+    "su6 rotated": lambda: rotated(su(6), seed=6),
+}
+
+
 class TestJacobiResidual:
-    @pytest.mark.parametrize("builder", [su, sp], ids=["su3", "sp2"])
-    def test_matches_cyclic_sum(self, builder):
-        g = builder(3 if builder is su else 2)
-        assert g.jacobi_residual() == pytest.approx(ref_jacobi_residual(g), abs=1e-14)
+    @pytest.mark.parametrize("name", sorted(EXACT_ALGEBRAS))
+    def test_matches_cyclic_sum(self, name):
+        g = EXACT_ALGEBRAS[name]()
+        want = ref_jacobi_residual(g)
+        assert want < 1e-12
+        assert g.jacobi_residual() == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["su3", "su8", "sp2+sp1", "perturbed su3"])
+    def test_dense_loop_agrees_with_the_sparse_sum(self, name):
+        g = perturbed_su3() if name == "perturbed su3" else EXACT_ALGEBRAS[name]()
+        assert _dense_jacobi_residual(g.tensor) == pytest.approx(g.jacobi_residual(),
+                                                                 rel=1e-12, abs=1e-14)
+
+    def test_abelian_algebra_has_no_residual(self):
+        assert LieAlgebra(5, []).jacobi_residual() == 0.0
 
     def test_matches_cyclic_sum_when_large(self):
         g = perturbed_su3()
         want = ref_jacobi_residual(g)
         assert want > 1e-2
+        assert g.jacobi_residual() == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [6, 9, 14])
+    def test_matches_cyclic_sum_on_random_constants(self, dim):
+        g = random_antisymmetric(dim, seed=dim)
+        want = ref_jacobi_residual(g)
+        assert want > 1.0
         assert g.jacobi_residual() == pytest.approx(want, rel=1e-12)
 
     def test_rejects_broken_tensor(self):
@@ -202,6 +256,19 @@ class TestJacobiResidual:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("builder", [lambda: catalog.s6_round().g, lambda: su(11),
+                                         lambda: rotated(su(8), seed=8)],
+                             ids=["g2", "su11", "su8 rotated"])
+    def test_residual_peak_memory(self, builder):
+        g = builder()
+        tracemalloc.start()
+        try:
+            g.jacobi_residual()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestInvarianceResidual:
