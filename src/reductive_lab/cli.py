@@ -251,6 +251,14 @@ def _parse_poly(text) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _tolerance(text) -> float:
+    """argparse type of the --tol flags: a finite positive float."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
+    return value
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -379,7 +387,7 @@ def _parser():
 
     def relation_flags(p):
         p.add_argument("--samples", type=int, default=64)
-        p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+        p.add_argument("--tol", type=_tolerance, default=RESIDUAL_TOL)
 
     p = sub.add_parser("catalog", help="list registry entries")
     common(p)
@@ -412,7 +420,7 @@ def _parser():
     p = sub.add_parser("twistor", help="trace-free check above a relation")
     p.add_argument("id")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
     common(p)
     p.set_defaults(fn=_cmd_twistor)
 

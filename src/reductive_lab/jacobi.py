@@ -167,60 +167,65 @@ def component_split(spectrum, s) -> dict:
     Keys: "0,0"; "0,k" for the zero-space/block-k cross part; "k,l:(1,1)" and
     "k,l:(2,0)+(0,2)" for 1 <= k <= l.  Each component is an eigenvector of
     -(A star)^2 = -[A, [A, .]] with eigenvalue 0, lambda_k^2,
-    (lambda_l - lambda_k)^2, (lambda_l + lambda_k)^2 respectively; this and
-    the completeness of the splitting are verified on every call.  The
-    one-row case of the stacked split that minimal_ljr runs.
+    (lambda_l - lambda_k)^2, (lambda_l + lambda_k)^2 respectively: the
+    one-row case of _split_table and its checks, rotated back, V (M . X) V^T.
     """
-    blocks = spectrum.blocks
-    projections = np.array([spectrum.zero_projection] + spectrum.projections)[:, None]
-    js = np.array([b.j for b in blocks]).reshape(len(blocks), 1, spectrum.dim, spectrum.dim)
-    parts = _split_stack(spectrum.reconstruct()[None], projections, js,
-                         spectrum.lams[None], np.asarray(s, dtype=float)[None])
-    return {key: c[0] for key, c, _ in parts}
+    frames = [spectrum.zero_space] + [b.basis for b in spectrum.blocks]
+    vecs = np.hstack(frames)
+    labels = np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames])
+    keys, (src, ks, ls), _, _, rot, q = _split_table(
+        vecs[None], labels[None], spectrum.lams[None], spectrum.reconstruct()[None],
+        np.asarray(s, dtype=float)[None])
+    sources = (rot[0], 0.5 * (rot[0] - q[0]), 0.5 * (rot[0] + q[0]))
+    la, lb = labels[:, None], labels[None, :]
+    masks = (((la == k) & (lb == l)) | ((la == l) & (lb == k)) for k, l in zip(ks, ls))
+    return {key: vecs @ np.where(m, sources[i], 0.0) @ vecs.T
+            for key, i, m in zip(keys, src, masks)}
 
 
-def _split_stack(a, projections, js, lams, s):
-    """Components of symmetric S (..., N, n, n) along the skew spectra of a
-    stack A (N, n, n) that all have r = len(js) blocks: projections (r+1,
-    N, n, n) onto the kernel and the blocks, block complex structures js
-    (r, N, n, n), block values lams (N, r).  Yields (key, component, w) in
-    component_split's order, w the signed block-value combination of the
-    component per row (0, lambda_k, lambda_l - lambda_k or lambda_l +
-    lambda_k), verifying that each component is a -(A star)^2 eigenvector
-    with eigenvalue w^2 and, after the last, that they add up to S, for
-    every row.
+def _split_table(vecs, labels, lams, tau, s):
+    """Components of symmetric S (..., N, n, n) along the skew spectra of
+    tau (N, n, n) with r blocks, from the eigenbases V of -tau^2, their
+    column labels (N, n) (0: kernel) and the block values lams (N, r).
+
+    J' = V^T tau V over the block value of each column's label (0 on the
+    kernel) is block-diagonal in the labels, so with S' = V^T S V and
+    Q = J' S' J' a component is the mask at labels k, l of S' ("0,0", "0,k"),
+    (S' - Q)/2 ("k,l:(1,1)") or (S' + Q)/2 ("k,l:(2,0)+(0,2)"): source 0, 1
+    or 2.  Checked per row: V^T tau V vanishes off the labels (1e-8 max(1,
+    |tau|_F)), which with J_k^2 = -P_k (skew_spectra) makes each component a
+    -(tau star)^2 eigenvector; the squared norms add up to |S|_F^2 (1e-8
+    max(1, |S|_F)^2).  Returns the keys in component_split's order, their
+    (source, k, l) (3, K), w (N, K) = lambda_l -+ lambda_k (+ for source 2,
+    lambda_0 = 0), the squared norms (..., N, K) as block sums, S' and Q.
     """
-    snorm = np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
-    scale = snorm * np.maximum(1.0, np.max(lams ** 2, axis=1, initial=1.0))
-    total = np.zeros_like(s)
-    for key, c, w in _split_parts(projections, js, lams, s):
-        ac = a @ c - c @ a
-        resid = a @ ac - ac @ a + (w ** 2)[:, None, None] * c
-        if np.any(np.max(np.abs(resid), axis=(-2, -1)) >= 1e-8 * scale):
-            raise AssertionError("component %s is not a -(A star)^2 eigenvector" % key)
-        total += c
-        yield key, c, w
-    if np.any(np.max(np.abs(total - s), axis=(-2, -1)) >= 1e-8 * snorm):
-        raise AssertionError("the components do not add up to S")
-
-
-def _split_parts(projections, js, lams, s):
-    """(key, component, w per row) of _split_stack; w is exactly 0 for
-    "0,0" and "k,k:(1,1)", the components in the kernel of A star."""
-    p0 = projections[0]
-    yield "0,0", p0 @ s @ p0, np.zeros(len(lams))
-    for k in range(1, len(js) + 1):
-        pk, lk = projections[k], lams[:, k - 1]
-        yield "0,%d" % k, p0 @ s @ pk + pk @ s @ p0, lk
-        for l in range(k, len(js) + 1):
-            pl, ll = projections[l], lams[:, l - 1]
-            if l == k:
-                m, j = pk @ s @ pk, js[k - 1]
-            else:
-                m, j = pk @ s @ pl + pl @ s @ pk, js[k - 1] + js[l - 1]
-            jmj = j @ m @ j
-            yield "%d,%d:(1,1)" % (k, l), 0.5 * (m - jmj), ll - lk
-            yield "%d,%d:(2,0)+(0,2)" % (k, l), 0.5 * (m + jmj), ll + lk
+    r = lams.shape[1]
+    table = [(0, 0, 0)] + [row for k in range(1, r + 1) for row in
+                           [(0, 0, k)] + [(i, k, l) for l in range(k, r + 1) for i in (1, 2)]]
+    keys = ["%d,%d%s" % (k, l, ("", ":(1,1)", ":(2,0)+(0,2)")[i]) for i, k, l in table]
+    src, ks, ls = table = np.array(table).T
+    vt = vecs.swapaxes(1, 2)
+    t = vt @ tau @ vecs
+    off = np.linalg.norm(np.where(labels[:, :, None] == labels[:, None, :], 0.0, t), axis=(1, 2))
+    if np.any(off > 1e-8 * np.maximum(1.0, np.linalg.norm(tau, axis=(1, 2)))):
+        raise AssertionError("the eigenbasis does not block-diagonalize tau_X: %.3e" % np.max(off))
+    lam0 = np.concatenate([np.zeros((len(lams), 1)), lams], axis=1)
+    j = t / np.take_along_axis(np.where(lam0 > 0, lam0, np.inf), labels, axis=1)[:, None, :]
+    total = np.einsum("...ij,...ij->...", s, s)
+    rot = vt @ s @ vecs
+    q = j @ rot @ j
+    onehot = (labels[:, :, None] == np.arange(r + 1)).astype(float)
+    d = np.subtract(rot, q)  # scratch for the squares: three (..., N, n, n) arrays at most
+    minus = onehot.swapaxes(1, 2) @ np.square(d, out=d) @ onehot
+    plus = onehot.swapaxes(1, 2) @ np.square(np.add(rot, q, out=d), out=d) @ onehot
+    plain = onehot.swapaxes(1, 2) @ np.square(rot, out=d) @ onehot
+    sums = np.stack([plain, 0.25 * minus, 0.25 * plus], axis=-3)  # (..., N, 3, r+1, r+1)
+    sq = sums[..., src, ks, ls] + np.where(ks != ls, sums[..., src, ls, ks], 0.0)
+    err = np.abs(np.sum(sq, axis=-1) - total) / np.maximum(1.0, total)
+    if np.any(err > 1e-8):
+        raise AssertionError("the components do not add up to S: %.3e" % np.max(err))
+    w = lam0[:, ls] + np.where(src == 2, 1.0, -1.0) * lam0[:, ks]
+    return keys, table, w, sq, rot, q
 
 
 class LjrVerdict:
@@ -241,16 +246,15 @@ class LjrVerdict:
 
 
 def _detect_rows(family: JacobiFamily, xs):
-    """Split R_0(X) and the curvature term of every row X of xs along the
-    skew spectrum of tau_X.
-
-    Returns the block count of every row (-1 where the spectrum is
-    degenerate, -2 where R_0(X) is near zero) and, per block count r, the
-    lambdas (N_r, r), the component keys, the block-value combinations w
-    (N_r, K) of _split_stack and the component relnorms of R_0 and of the
-    curvature term (N_r, K) of its rows, in row order.
-    """
-    spectra = skew_spectra(family.model.tau_matrix(xs))
+    """Split R_0(X) and the curvature term R_0(X) + tau_X^2/4 of every row X
+    of xs along the skew spectrum of tau_X, as block sums in the eigenbasis
+    of -tau_X^2 checked once per row (_split_table).  Returns the block count
+    of every row (-1 where the spectrum is degenerate, -2 where R_0(X) is
+    near zero) and, per block count r, the lambdas (N_r, r), the component
+    keys, w (N_r, K) and the component relnorms of R_0 and of the curvature
+    term (N_r, K) of its rows, in row order."""
+    t = family.model.tau_matrix(xs)
+    spectra = skew_spectra(t)
     status = np.where([r is None for r in spectra.reasons], spectra.counts, -1)
     rows = np.flatnonzero(status >= 0)
     r0 = family.stack(xs[rows], 0)[:, 0]
@@ -258,19 +262,14 @@ def _detect_rows(family: JacobiFamily, xs):
     zero = norm < 1e-14
     status[rows[zero]] = -2
     rows, r0, norm = rows[~zero], r0[~zero], norm[~zero]
-    both = np.array([r0, family.model.curvature_term(xs[rows])])
     groups = {}
     for r in sorted(set(status[rows].tolist())):  # np.unique would import numpy.ma
         sel = np.flatnonzero(status[rows] == r)
         at = rows[sel]
-        keys, ws, rel = [], [], []
-        for key, c, w in _split_stack(spectra.recon[at], spectra.projections[:r + 1, at],
-                                      spectra.js[:r, at], spectra.lams[at, :r], both[:, sel]):
-            keys.append(key)
-            ws.append(w)
-            rel.append(np.linalg.norm(c, axis=(2, 3)) / norm[sel])
-        rel = np.array(rel)  # (K, 2, N_r)
-        groups[r] = (spectra.lams[at, :r], keys, np.array(ws).T, rel[:, 0].T, rel[:, 1].T)
+        lams, tau = spectra.lams[at, :r], t[at]
+        keys, _, w, sq, _, _ = _split_table(spectra.vecs[at], spectra.labels[at], lams, tau,
+                                            np.array([r0[sel], r0[sel] + 0.25 * (tau @ tau)]))
+        groups[r] = (lams, keys, w, *(np.sqrt(sq) / norm[sel, None]))
     return status, groups
 
 
@@ -376,7 +375,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
 
     distinct = []
     for v in sorted(factors):
-        if not distinct or v - distinct[-1] > CONSTANCY_TOL * max(v, 1.0):
+        if not distinct or v - distinct[-1] > CONSTANCY_TOL * v:
             distinct.append(v)
     eigen_structure["factors"] = distinct
     q = Polynomial([1.0])

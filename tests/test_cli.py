@@ -274,6 +274,18 @@ class TestFlagSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "nk:flag", "--poly", "1"],
+        ["minpoly", "nk:flag"],
+        ["twistor", "np:v1", "--d", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_tol_must_be_finite_and_positive(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", tol, "--json"])
+        assert exc.value.code == 2
+        assert "--tol: must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["gvcp", "np:v3"],
         ["appendix", "--s-grid", "1:2:2"],

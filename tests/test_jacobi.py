@@ -494,15 +494,28 @@ class TestScaleFreeResidual:
         for t in np.logspace(-4, 4, 9):
             for frame in (model, turned):
                 got = minimal_ljr(JacobiFamily(catalog.rescale_model(frame, t)))
-                assert got.exists == base.exists, t
-                if not base.exists:
-                    continue
-                deg = base.polynomial.degree
-                assert got.polynomial.degree == deg
-                assert got.max_residual < 1e-13
-                scaled = got.polynomial.coefficients * t ** ((deg - np.arange(deg + 1)) / 2)
-                diff = scaled - base.polynomial.coefficients
-                assert np.max(np.abs(diff)) < 1e-7 * max(1.0, np.max(np.abs(scaled))), t
+                self.assert_scaled(base, got, t)
+
+    @pytest.mark.parametrize("name", ["nk:flag", "nk:cp3"])
+    def test_factor_merge_is_relative(self, fixed_models, name):
+        # at t = 1e6 the quintic's factors are 2.5e-7 and 1e-6: a merge bound
+        # absolute below 1 joined them into a wrong cubic
+        model = fixed_models[name]
+        got = minimal_ljr(JacobiFamily(catalog.rescale_model(model, 1e6)))
+        self.assert_scaled(minimal_ljr(JacobiFamily(model)), got, 1e6)
+
+    @staticmethod
+    def assert_scaled(base, got, t):
+        """got is the verdict of base at metric scale t."""
+        assert got.exists == base.exists, t
+        if not base.exists:
+            return
+        deg = base.polynomial.degree
+        assert got.polynomial.degree == deg
+        assert got.max_residual < 1e-13
+        scaled = got.polynomial.coefficients * t ** ((deg - np.arange(deg + 1)) / 2)
+        diff = scaled - base.polynomial.coefficients
+        assert np.max(np.abs(diff)) < 1e-7 * max(1.0, np.max(np.abs(scaled))), t
 
     def test_lowest_coefficient_error_fails_the_gate(self, fixed_models):
         checked = []

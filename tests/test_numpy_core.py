@@ -210,7 +210,9 @@ def test_invariant_checks_run_under_optimize():
 BROKEN_STACK_UNDER_O = """
 import json
 import numpy as np
+from reductive_lab import jacobi
 from reductive_lab.algebra import skew_spectral_decomposition
+from reductive_lab.catalog import heisenberg_model
 from reductive_lab.jacobi import JacobiFamily, component_split, minimal_ljr, sample_vectors
 from reductive_lab.reductive import InfinitesimalModel
 
@@ -225,11 +227,32 @@ model = InfinitesimalModel(np.zeros((4, 4, 4)), r)
 a = np.zeros((3, 3))
 a[0, 1], a[1, 0] = -1.0, 1.0
 spectrum = skew_spectral_decomposition(a)
-spectrum.blocks[0].projection = np.eye(3)  # the block now overlaps the kernel
+spectrum.blocks[0].basis = spectrum.blocks[0].basis + spectrum.zero_space  # overlaps the kernel
+
+real = jacobi.skew_spectra
+
+
+def mixed(As):
+    # rotates the kernel vector into the top block: the eigenbasis no longer
+    # block-diagonalizes tau_X
+    spectra = real(As)
+    vecs = spectra.vecs.copy()
+    c, s = np.cos(0.3), np.sin(0.3)
+    vecs[:, :, 0] = c * spectra.vecs[:, :, 0] - s * spectra.vecs[:, :, -1]
+    vecs[:, :, -1] = s * spectra.vecs[:, :, 0] + c * spectra.vecs[:, :, -1]
+    return spectra._replace(vecs=vecs)
+
+
+def detect_in_mixed_basis():
+    jacobi.skew_spectra = mixed
+    return minimal_ljr(JacobiFamily(heisenberg_model(1, 1.0)))
+
+
 messages = []
 for call in (lambda: JacobiFamily(model).stack(sample_vectors(4, 4), 1),
              lambda: minimal_ljr(JacobiFamily(model)),
-             lambda: component_split(spectrum, np.eye(3) + np.ones((3, 3)))):
+             lambda: component_split(spectrum, np.eye(3) + np.ones((3, 3))),
+             detect_in_mixed_basis):
     try:
         call()
         messages.append(None)
@@ -242,9 +265,11 @@ print(json.dumps(messages))
 def test_stacked_checks_run_under_optimize():
     out = _python("-O", "-c", BROKEN_STACK_UNDER_O)
     assert out.returncode == 0, out.stderr
-    stack, detect, split = json.loads(out.stdout)
+    stack, detect, split, labels = json.loads(out.stdout)
     assert stack == detect == "R_k(X) is not symmetric"
-    assert split is not None and split.startswith("component ")
+    assert split is not None and split.startswith("the components do not add up to S")
+    assert labels is not None and labels.startswith(
+        "the eigenbasis does not block-diagonalize tau_X")
 
 
 JACOBI_CHECKS_UNDER_O = """
