@@ -145,15 +145,12 @@ class SkewSpectrum:
 
 
 # Skew spectral splits of a stack of skew operators, as arrays.  Row i is
-# usable when reasons[i] is None.  Its block count is counts[i],
-# lams[i, :counts[i]] are the block values in increasing order,
-# projections[0, i] projects onto the kernel and projections[k, i] onto
-# block k, whose complex structure is js[k - 1, i]; recon[i] is
-# sum_k lam_k J_k pi_k.  Eigenvector column c of vecs[i] lies in block
-# labels[i, c] (0 for the kernel).  Rows with fewer blocks carry zero arrays
-# in the unused slots; a degenerate row carries the reason in place of None.
-SkewSpectra = namedtuple("SkewSpectra",
-                         "vecs labels counts lams projections js recon reasons")
+# usable when reasons[i] is None.  Its block count is counts[i] and
+# lams[i, :counts[i]] are the block values in increasing order.  Eigenvector
+# column c of vecs[i] (of -A^2) lies in block labels[i, c] (0 for the
+# kernel).  Rows with fewer blocks carry zeros in the unused slots of lams; a
+# degenerate row carries the reason in place of None.
+SkewSpectra = namedtuple("SkewSpectra", "vecs labels counts lams reasons")
 
 
 def _degenerate_reason(padded, labels, gap_tol):
@@ -209,25 +206,16 @@ def skew_spectra(As, gap_tol: float = GAP_TOL) -> SkewSpectra:
 
     sums = np.einsum("ni,nik->nk", padded, onehot.astype(float))
     lams = np.sqrt(sums[:, 1:] / np.maximum(sizes[:, 1:], 1))
-    masks = onehot[:, 1:].transpose(2, 0, 1)  # (rmax + 1, N, n), eigenvector columns
-    projections = (vecs * masks[:, :, None, :]) @ vecs.transpose(0, 2, 1)
-    safe = np.where(lams > 0, lams, 1.0).T[:, :, None, None]
-    js = (As @ projections[1:]) / safe
-    recon = np.sum(safe * (js @ projections[1:]), axis=0)
-
+    labels = labels[:, 1:]
     ok = np.array([r is None for r in reasons], dtype=bool)
     check_close(vecs[ok].transpose(0, 2, 1) @ vecs[ok], np.eye(n), RESIDUAL_TOL)
-    check_close(js[:, ok] @ js[:, ok], -projections[1:, ok], RESIDUAL_TOL)
-    check_close(js[:, ok] @ projections[1:, ok], js[:, ok], RESIDUAL_TOL)
-    # a block with mu below gap_tol merges into the kernel and is lost here;
-    # the bound is that of check_close(atol=RESIDUAL_TOL * scale)
-    residual = np.abs(recon - As)
-    lost = np.any(residual > RESIDUAL_TOL * scale[:, None, None] + 1e-7 * np.abs(As),
-                  axis=(1, 2))
-    for i in np.flatnonzero(ok & lost):
+    # a block with mu below gap_tol merges into the kernel and is lost here:
+    # A does not vanish on the kernel columns of vecs
+    residual = np.linalg.norm(As @ (vecs * (labels == 0)[:, None, :]), axis=(1, 2))
+    for i in np.flatnonzero(ok & (residual > RESIDUAL_TOL * scale)):
         reasons[i] = ("blocks do not reconstruct the operator: residual %.3e"
-                      % float(np.max(residual[i])))
-    return SkewSpectra(vecs, labels[:, 1:], counts, lams, projections, js, recon, reasons)
+                      % float(residual[i]))
+    return SkewSpectra(vecs, labels, counts, lams, reasons)
 
 
 def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
@@ -239,9 +227,13 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
     sp = skew_spectra(np.asarray(A, dtype=float)[None], gap_tol)
     if sp.reasons[0] is not None:
         raise DegenerateSpectrum(sp.reasons[0])
-    vecs, labels = sp.vecs[0], sp.labels[0]
-    blocks = [SkewBlock(sp.lams[0, k - 1], vecs[:, labels == k], sp.js[k - 1, 0],
-                        sp.projections[k, 0]) for k in range(1, sp.counts[0] + 1)]
+    a, vecs, labels = np.asarray(A, dtype=float), sp.vecs[0], sp.labels[0]
+    blocks = []
+    for k in range(1, sp.counts[0] + 1):
+        basis = vecs[:, labels == k]
+        projection = basis @ basis.T
+        blocks.append(SkewBlock(sp.lams[0, k - 1], basis, a @ projection / sp.lams[0, k - 1],
+                                projection))
     return SkewSpectrum(vecs[:, labels == 0], blocks)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import (
     Polynomial,
     characteristic_polynomial,
+    check_close,
     operator_on_symmetric,
     skew_spectra,
 )
@@ -173,14 +174,13 @@ def component_split(spectrum, s) -> dict:
     frames = [spectrum.zero_space] + [b.basis for b in spectrum.blocks]
     vecs = np.hstack(frames)
     labels = np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames])
-    keys, (src, ks, ls), _, _, rot, q = _split_table(
+    keys, _, _, (table, onehot, rot, q) = _split_table(
         vecs[None], labels[None], spectrum.lams[None], spectrum.reconstruct()[None],
         np.asarray(s, dtype=float)[None])
     sources = (rot[0], 0.5 * (rot[0] - q[0]), 0.5 * (rot[0] + q[0]))
-    la, lb = labels[:, None], labels[None, :]
-    masks = (((la == k) & (lb == l)) | ((la == l) & (lb == k)) for k, l in zip(ks, ls))
-    return {key: vecs @ np.where(m, sources[i], 0.0) @ vecs.T
-            for key, i, m in zip(keys, src, masks)}
+    masks = onehot[0].T[table[1], :, None] * onehot[0].T[table[2], None, :]  # labels k, l
+    return {key: vecs @ (np.maximum(m, m.T) * sources[i]) @ vecs.T
+            for key, i, m in zip(keys, table[0], masks)}
 
 
 def _split_table(vecs, labels, lams, tau, s):
@@ -189,21 +189,22 @@ def _split_table(vecs, labels, lams, tau, s):
     column labels (N, n) (0: kernel) and the block values lams (N, r).
 
     J' = V^T tau V over the block value of each column's label (0 on the
-    kernel) is block-diagonal in the labels, so with S' = V^T S V and
-    Q = J' S' J' a component is the mask at labels k, l of S' ("0,0", "0,k"),
-    (S' - Q)/2 ("k,l:(1,1)") or (S' + Q)/2 ("k,l:(2,0)+(0,2)"): source 0, 1
-    or 2.  Checked per row: V^T tau V vanishes off the labels (1e-8 max(1,
-    |tau|_F)), which with J_k^2 = -P_k (skew_spectra) makes each component a
-    -(tau star)^2 eigenvector; the squared norms add up to |S|_F^2 (1e-8
-    max(1, |S|_F)^2).  Returns the keys in component_split's order, their
-    (source, k, l) (3, K), w (N, K) = lambda_l -+ lambda_k (+ for source 2,
-    lambda_0 = 0), the squared norms (..., N, K) as block sums, S' and Q.
+    kernel) is block-diagonal, so with S' = V^T S V and Q = J' S' J' a
+    component is the mask at labels k, l of source 0, 1 or 2: S' ("0,0",
+    "0,k"), (S' - Q)/2 ("k,l:(1,1)") or (S' + Q)/2 ("k,l:(2,0)+(0,2)").
+    Checked per row: V^T tau V vanishes off the labels (1e-8 max(1,
+    |tau|_F)) and J'^2 = -1 on the block columns (1e-8 entry-wise), so each
+    component is a -(tau star)^2 eigenvector; the squared norms add up to
+    |S|_F^2 (1e-8 max(1, |S|_F)^2).  Returns the keys in component_split's
+    order, w (N, K) = lambda_l -+ lambda_k (+ for source 2, lambda_0 = 0),
+    the squared norms (..., N, K) as block sums, and for component_split the
+    (source, k, l) table (3, K), the label indicators (N, n, r+1), S' and Q.
     """
     r = lams.shape[1]
-    table = [(0, 0, 0)] + [row for k in range(1, r + 1) for row in
-                           [(0, 0, k)] + [(i, k, l) for l in range(k, r + 1) for i in (1, 2)]]
-    keys = ["%d,%d%s" % (k, l, ("", ":(1,1)", ":(2,0)+(0,2)")[i]) for i, k, l in table]
-    src, ks, ls = table = np.array(table).T
+    rows = [(0, 0, 0)] + [row for k in range(1, r + 1) for row in
+                          [(0, 0, k)] + [(i, k, l) for l in range(k, r + 1) for i in (1, 2)]]
+    keys = ["%d,%d%s" % (k, l, ("", ":(1,1)", ":(2,0)+(0,2)")[i]) for i, k, l in rows]
+    src, ks, ls = table = np.array(rows).T
     vt = vecs.swapaxes(1, 2)
     t = vt @ tau @ vecs
     off = np.linalg.norm(np.where(labels[:, :, None] == labels[:, None, :], 0.0, t), axis=(1, 2))
@@ -211,21 +212,22 @@ def _split_table(vecs, labels, lams, tau, s):
         raise AssertionError("the eigenbasis does not block-diagonalize tau_X: %.3e" % np.max(off))
     lam0 = np.concatenate([np.zeros((len(lams), 1)), lams], axis=1)
     j = t / np.take_along_axis(np.where(lam0 > 0, lam0, np.inf), labels, axis=1)[:, None, :]
+    check_close(j @ j, -np.eye(vecs.shape[1]) * (labels > 0)[:, None, :], 1e-8,
+                "tau_X over its block values is not a complex structure")
     total = np.einsum("...ij,...ij->...", s, s)
     rot = vt @ s @ vecs
     q = j @ rot @ j
     onehot = (labels[:, :, None] == np.arange(r + 1)).astype(float)
-    d = np.subtract(rot, q)  # scratch for the squares: three (..., N, n, n) arrays at most
-    minus = onehot.swapaxes(1, 2) @ np.square(d, out=d) @ onehot
-    plus = onehot.swapaxes(1, 2) @ np.square(np.add(rot, q, out=d), out=d) @ onehot
-    plain = onehot.swapaxes(1, 2) @ np.square(rot, out=d) @ onehot
-    sums = np.stack([plain, 0.25 * minus, 0.25 * plus], axis=-3)  # (..., N, 3, r+1, r+1)
+    ot, d = onehot.swapaxes(1, 2), np.empty_like(rot)  # d: scratch, squared in place
+    sums = np.stack([ot @ np.square(rot, out=d) @ onehot,  # (..., N, 3, r+1, r+1)
+                     0.25 * ot @ np.square(np.subtract(rot, q, out=d), out=d) @ onehot,
+                     0.25 * ot @ np.square(np.add(rot, q, out=d), out=d) @ onehot], axis=-3)
     sq = sums[..., src, ks, ls] + np.where(ks != ls, sums[..., src, ls, ks], 0.0)
     err = np.abs(np.sum(sq, axis=-1) - total) / np.maximum(1.0, total)
     if np.any(err > 1e-8):
         raise AssertionError("the components do not add up to S: %.3e" % np.max(err))
     w = lam0[:, ls] + np.where(src == 2, 1.0, -1.0) * lam0[:, ks]
-    return keys, table, w, sq, rot, q
+    return keys, w, sq, (table, onehot, rot, q)
 
 
 class LjrVerdict:
@@ -247,12 +249,12 @@ class LjrVerdict:
 
 def _detect_rows(family: JacobiFamily, xs):
     """Split R_0(X) and the curvature term R_0(X) + tau_X^2/4 of every row X
-    of xs along the skew spectrum of tau_X, as block sums in the eigenbasis
-    of -tau_X^2 checked once per row (_split_table).  Returns the block count
-    of every row (-1 where the spectrum is degenerate, -2 where R_0(X) is
-    near zero) and, per block count r, the lambdas (N_r, r), the component
-    keys, w (N_r, K) and the component relnorms of R_0 and of the curvature
-    term (N_r, K) of its rows, in row order."""
+    of xs as block sums in the eigenbasis of -tau_X^2, checked once per row
+    (_split_table).  Returns the block count of every row (-1 where the
+    spectrum is degenerate, -2 where R_0(X) is near zero) and, per block
+    count r, the lambdas (N_r, r), the component keys, w (N_r, K) and the
+    component relnorms of R_0 and of the curvature term (N_r, K) of its
+    rows, in row order."""
     t = family.model.tau_matrix(xs)
     spectra = skew_spectra(t)
     status = np.where([r is None for r in spectra.reasons], spectra.counts, -1)
@@ -267,8 +269,8 @@ def _detect_rows(family: JacobiFamily, xs):
         sel = np.flatnonzero(status[rows] == r)
         at = rows[sel]
         lams, tau = spectra.lams[at, :r], t[at]
-        keys, _, w, sq, _, _ = _split_table(spectra.vecs[at], spectra.labels[at], lams, tau,
-                                            np.array([r0[sel], r0[sel] + 0.25 * (tau @ tau)]))
+        keys, w, sq, _ = _split_table(spectra.vecs[at], spectra.labels[at], lams, tau,
+                                      np.array([r0[sel], r0[sel] + 0.25 * (tau @ tau)]))
         groups[r] = (lams, keys, w, *(np.sqrt(sq) / norm[sel, None]))
     return status, groups
 

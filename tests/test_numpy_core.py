@@ -243,16 +243,26 @@ def mixed(As):
     return spectra._replace(vecs=vecs)
 
 
-def detect_in_mixed_basis():
-    jacobi.skew_spectra = mixed
-    return minimal_ljr(JacobiFamily(heisenberg_model(1, 1.0)))
+def scaled(As):
+    # block values 10% too large: tau_X over them is no complex structure
+    spectra = real(As)
+    return spectra._replace(lams=1.1 * spectra.lams)
+
+
+def detect_with(spectra):
+    jacobi.skew_spectra = spectra
+    try:
+        return minimal_ljr(JacobiFamily(heisenberg_model(1, 1.0)))
+    finally:
+        jacobi.skew_spectra = real
 
 
 messages = []
 for call in (lambda: JacobiFamily(model).stack(sample_vectors(4, 4), 1),
              lambda: minimal_ljr(JacobiFamily(model)),
              lambda: component_split(spectrum, np.eye(3) + np.ones((3, 3))),
-             detect_in_mixed_basis):
+             lambda: detect_with(mixed),
+             lambda: detect_with(scaled)):
     try:
         call()
         messages.append(None)
@@ -265,11 +275,12 @@ print(json.dumps(messages))
 def test_stacked_checks_run_under_optimize():
     out = _python("-O", "-c", BROKEN_STACK_UNDER_O)
     assert out.returncode == 0, out.stderr
-    stack, detect, split, labels = json.loads(out.stdout)
+    stack, detect, split, labels, lams = json.loads(out.stdout)
     assert stack == detect == "R_k(X) is not symmetric"
     assert split is not None and split.startswith("the components do not add up to S")
     assert labels is not None and labels.startswith(
         "the eigenbasis does not block-diagonalize tau_X")
+    assert lams is not None and "tau_X over its block values is not a complex structure" in lams
 
 
 JACOBI_CHECKS_UNDER_O = """

@@ -15,8 +15,8 @@ from reductive_lab import algebra, jacobi
 from reductive_lab.algebra import (DegenerateSpectrum, Polynomial, skew_spectra,
                                    skew_spectral_decomposition)
 from reductive_lab.catalog import entries, entry
-from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily, _detect_rows, check_ljr,
-                                  component_split, minimal_ljr, sample_vectors)
+from reductive_lab.jacobi import (VANISH_TOL, InsufficientSamples, JacobiFamily, _detect_rows,
+                                  check_ljr, component_split, minimal_ljr, sample_vectors)
 from reductive_lab.reductive import InfinitesimalModel
 
 FIXED = {e.name: e for e in entries()}
@@ -154,8 +154,12 @@ def test_batched_split_matches_per_spectrum_split(models, name):
         norm = float(np.linalg.norm(r0))
         assert list(got) == list(want)
         for key in want:
-            # relative to S: a vanishing component carries the rounding of S
-            assert np.linalg.norm(got[key] - want[key]) < 1e-12 * max(1.0, norm), key
+            err = _rel(got[key], want[key])
+            if name in SPLIT_EXTRA and np.linalg.norm(want[key]) < VANISH_TOL * norm:
+                # on the larger spectra a vanishing component carries the
+                # rounding of S (up to 1.7e-12 relative to the component)
+                err = float(np.linalg.norm(got[key] - want[key])) / max(1.0, norm)
+            assert err < 1e-12, key
         lams, keys, w, rel, rel_bar = groups[status[i]]
         row = seen[status[i]]
         seen[status[i]] += 1
