@@ -119,25 +119,54 @@ class JacobiFamily:
         self.model = model
         self.n = model.n
 
-    def stack(self, xs, k: int) -> np.ndarray:
-        """R_0(X), ..., R_k(X) for every row X of xs, shape (N, k+1, n, n)."""
+    def blocks(self, xs, k: int, t=None):
+        """R_0(X), ..., R_k(X) for every row X of xs as checked blocks of
+        consecutive orders: yields (j, ops, size), ops = R_j..R_(j+g-1)
+        (N, g, n, n) and size their bounds s_j..s_(j+g-1) (N, g), with
+        N g n^2 <= CHUNK_DOUBLES, or g = 1 where N n^2 alone exceeds it.
+        tau_X is contracted once (t, when the caller has it), and the bounds
+        come from one _sizes call."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
-        t = self.model.tau_matrix(xs)
-        ops = np.empty((len(xs), k + 1, self.n, self.n))
-        ops[:, 0] = jacobi_operator(self.model, xs)
-        for i in range(1, k + 1):
-            ops[:, i] = 0.5 * (ops[:, i - 1] @ t - t @ ops[:, i - 1])
-        scale = 1e-9 * _sizes(ops[:, 0], t, k)
-        if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) > scale):
-            raise AssertionError("R_k(X) is not symmetric")
-        image = np.max(np.abs(ops @ xs[:, None, :, None]), axis=(2, 3))
-        if np.any(image > scale * np.linalg.norm(xs, axis=1)[:, None]):
-            raise AssertionError("R_k(X) does not annihilate X")
-        return ops
+        if t is None:
+            t = self.model.tau_matrix(xs)
+        width = max(1, CHUNK_DOUBLES // max(1, xs.size * self.n))
+        prev = jacobi_operator(self.model, xs, t)
+        sizes = _sizes(prev, t, k)
+        lengths = np.linalg.norm(xs, axis=1)[:, None]
+        for j in range(0, k + 1, width):
+            ops = np.empty((len(xs), min(width, k + 1 - j), self.n, self.n))
+            for i in range(ops.shape[1]):
+                ops[:, i] = prev if i + j == 0 else 0.5 * (prev @ t - t @ prev)
+                prev = ops[:, i]
+            size = sizes[:, j:j + ops.shape[1]]
+            scale = 1e-9 * size
+            if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) > scale):
+                raise AssertionError("R_k(X) is not symmetric")
+            image = np.max(np.abs(ops @ xs[:, None, :, None]), axis=(2, 3))
+            if np.any(image > scale * lengths):
+                raise AssertionError("R_k(X) does not annihilate X")
+            yield j, ops, size
+
+    def stack(self, xs, k: int, t=None) -> np.ndarray:
+        """R_0(X), ..., R_k(X) for every row X of xs, shape (N, k+1, n, n):
+        the blocks joined."""
+        parts = [ops for _, ops, _ in self.blocks(xs, k, t)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def operators(self, x, k: int) -> list:
         """[R_0(X), ..., R_k(X)] for one X: the one-row case of stack."""
         return list(self.stack(x, k)[0])
+
+
+def _sample_rows(n: int, samples, seed: int) -> np.ndarray:
+    """The samples as rows (N, n): an array as given, a count as the plan
+    sample_vectors(n, samples, seed)."""
+    if not isinstance(samples, np.ndarray):
+        return sample_vectors(n, count=samples, seed=seed)
+    if samples.ndim != 2 or samples.shape[1] != n or not len(samples):
+        raise ValueError("samples must be an array of shape (N, %d) with N >= 1, got %s"
+                         % (n, samples.shape))
+    return samples
 
 
 def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
@@ -145,17 +174,18 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
     """Max over samples of the relation residual of a monic P = sum a_k
     lambda^k: |sum a_k R_k(X)|_F / sum |a_k| s_k(X), s_k the size bound of
     _sizes.  It does not depend on the metric scale or on the orthonormal
-    frame; samples with R_0(X) = 0 are skipped."""
+    frame; samples with R_0(X) = 0 are skipped.  Both sums accumulate over
+    the blocks of chunks of CHUNK_DOUBLES / n^2 samples."""
     if abs(p.coefficients[-1] - 1.0) > 1e-12:
         raise ValueError("linear Jacobi relation polynomials must be monic")
-    xs = samples if isinstance(samples, np.ndarray) else \
-        sample_vectors(family.n, count=samples, seed=seed)
+    xs = _sample_rows(family.n, samples, seed)
     worst = 0.0
-    for rows in _row_chunks(len(xs), (p.degree + 1) * family.n ** 2):
-        ops = family.stack(xs[rows], p.degree)
-        size = _sizes(ops[:, 0], family.model.tau_matrix(xs[rows]), p.degree)
-        total = np.einsum("k,pkij->pij", p.coefficients, ops)
-        den = size @ np.abs(p.coefficients)
+    for rows in _row_chunks(len(xs), family.n ** 2):
+        total = den = 0.0
+        for j, ops, size in family.blocks(xs[rows], p.degree):
+            a = p.coefficients[j:j + ops.shape[1]]
+            total += np.einsum("k,pkij->pij", a, ops)
+            den += size @ np.abs(a)
         keep = den > 0
         rel = np.linalg.norm(total[keep], axis=(1, 2)) / den[keep]
         worst = max(worst, float(np.max(rel, initial=0.0)))
@@ -259,7 +289,7 @@ def _detect_rows(family: JacobiFamily, xs):
     spectra = skew_spectra(t)
     status = np.where([r is None for r in spectra.reasons], spectra.counts, -1)
     rows = np.flatnonzero(status >= 0)
-    r0 = family.stack(xs[rows], 0)[:, 0]
+    r0 = family.stack(xs[rows], 0, t[rows])[:, 0]
     norm = np.linalg.norm(r0, axis=(1, 2))
     zero = norm < 1e-14
     status[rows[zero]] = -2
@@ -294,8 +324,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     order, within a budget of three samples per plan row.
     """
     n = family.n
-    xs = samples if isinstance(samples, np.ndarray) else \
-        sample_vectors(n, count=samples, seed=seed)
+    xs = _sample_rows(n, samples, seed)
     rng = np.random.default_rng(seed + 0x5eed)
     budget = 3 * len(xs)
     order = []  # block count of every accepted sample, in processing order

@@ -214,10 +214,12 @@ def to_model(triple: ReductiveTriple) -> InfinitesimalModel:
     return model
 
 
-def jacobi_operator(model: InfinitesimalModel, x) -> np.ndarray:
+def jacobi_operator(model: InfinitesimalModel, x, t=None) -> np.ndarray:
     """R_0(X): U -> rbar(U, X)X - (1/4) tau_X^2 U (symmetric, kills X), for
-    one X or for every row X of a stack."""
-    t = model.tau_matrix(x)
+    one X or for every row X of a stack; t is model.tau_matrix(x) when the
+    caller already has it."""
+    if t is None:
+        t = model.tau_matrix(x)
     return model.curvature_term(x) - 0.25 * (t @ t)
 
 

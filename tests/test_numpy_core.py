@@ -294,9 +294,9 @@ if __debug__:
     raise SystemExit("run with python -O")
 class Perturbed(JacobiFamily):
     # scales R_k(X) by 1 + k / 100, which no relation survives
-    def stack(self, xs, k):
-        ops = super().stack(xs, k)
-        return ops * (1.0 + 0.01 * np.arange(k + 1))[:, None, None]
+    def blocks(self, xs, k, t=None):
+        for j, ops, size in super().blocks(xs, k, t):
+            yield j, ops * (1.0 + 0.01 * np.arange(j, j + ops.shape[1]))[:, None, None], size
 
 
 model = heisenberg_model(4, 1.718)

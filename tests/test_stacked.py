@@ -116,6 +116,41 @@ def test_operators_is_the_one_row_stack(models):
     np.testing.assert_array_equal(np.array(ops), family.stack(x[None], 3)[0])
 
 
+# three rows of heisenberg:n=8 (n = 17) up to order 80 take three blocks of
+# orders; 120 rows exceed CHUNK_DOUBLES in one order, so every block is one
+# order wide
+@pytest.mark.parametrize("rows, k", [(3, 80), (120, 3)])
+def test_blocks_are_consecutive_orders_within_the_chunk_bound(rows, k):
+    model = entry("heisenberg:n=8,c=1").build()
+    family = JacobiFamily(model)
+    xs = sample_vectors(model.n, count=rows, seed=5)[:rows]
+    blocks = list(family.blocks(xs, k))
+    widths = [ops.shape[1] for _, ops, _ in blocks]
+    assert len(blocks) > 1 and sum(widths) == k + 1
+    assert [j for j, _, _ in blocks] == [sum(widths[:i]) for i in range(len(blocks))]
+    for _, ops, size in blocks:
+        assert ops.shape[0] == size.shape[0] == rows and ops.shape[1] == size.shape[1]
+        assert ops.size <= jacobi.CHUNK_DOUBLES or ops.shape[1] == 1
+    ops = family.stack(xs, k)
+    np.testing.assert_array_equal(np.concatenate([s for _, _, s in blocks], axis=1),
+                                  jacobi._sizes(ops[:, 0], model.tau_matrix(xs), k))
+    worst = max(float(np.linalg.norm(ops[i, j] - ref) / np.linalg.norm(ref))
+                for i, x in enumerate(xs)
+                for j, ref in enumerate(reference_operators(model, x, k)))
+    assert worst < 1e-12
+
+
+def test_an_operator_that_moves_x_raises(monkeypatch):
+    real = jacobi.jacobi_operator
+
+    def moved(model, x, t):  # symmetric, but no longer kills X
+        return real(model, x, t) + 1e-6 * np.eye(model.n)
+    monkeypatch.setattr(jacobi, "jacobi_operator", moved)
+    family = JacobiFamily(entry("nk:flag").build())
+    with pytest.raises(AssertionError, match="R_k\\(X\\) does not annihilate X"):
+        family.stack(sample_vectors(6, count=4), 2)
+
+
 def test_curvature_terms_match_the_single_x_contraction(models):
     model = models["np:v3"]
     xs = sample_vectors(model.n, count=4, seed=2)
@@ -188,6 +223,66 @@ def test_check_ljr_matches_per_x_loop(models, name):
         worst = max(worst, float(np.linalg.norm(total)) / size)
     got = check_ljr(JacobiFamily(model), p, samples=xs)
     assert abs(got - worst) <= 1e-12 * max(1.0, worst)
+
+
+def residual_from_stack(model, p, xs):
+    """check_ljr's residual from one stack of every sample: max over xs of
+    |sum a_k R_k(X)|_F / sum |a_k| s_k(X)."""
+    ops = JacobiFamily(model).stack(xs, p.degree)
+    size = jacobi._sizes(ops[:, 0], model.tau_matrix(xs), p.degree)
+    total = np.einsum("k,pkij->pij", p.coefficients, ops)
+    den = size @ np.abs(p.coefficients)
+    keep = den > 0
+    return float(np.max(np.linalg.norm(total[keep], axis=(1, 2)) / den[keep], initial=0.0))
+
+
+# a monic sextic that is no relation, so that its residual is of order one
+NO_RELATION = Polynomial([0.3, -1.2, 0.5, 0.0, -0.7, 0.2, 1.0])
+
+
+@pytest.mark.parametrize("name", sorted(FIXED) + ["heisenberg:n=12,c=0.558",
+                                                  "berger:n=7,s=1.3,kappa=1"])
+def test_check_ljr_is_the_residual_of_the_stack(models, name):
+    model = models[name] if name in models else entry(name).build()
+    family = JacobiFamily(model)
+    xs = sample_vectors(model.n)
+    want = residual_from_stack(model, NO_RELATION, xs)
+    assert want > 1e-3
+    assert check_ljr(family, NO_RELATION, samples=xs) == pytest.approx(want, rel=1e-14)
+    p = minimal_ljr(family, samples=xs).polynomial
+    if p is not None:
+        want = residual_from_stack(model, p, xs)
+        assert abs(check_ljr(family, p, samples=xs) - want) <= 1e-14 * max(1.0, want)
+
+
+def test_tau_x_is_contracted_once_per_chunk(monkeypatch):
+    model = entry("heisenberg:n=12,c=0.558").build()
+    family = JacobiFamily(model)
+    xs = sample_vectors(model.n)
+    chunks = jacobi._row_chunks(len(xs), model.n ** 2)
+    real, calls = model.tau_matrix, []
+
+    def counting(x):
+        calls.append(len(x))
+        return real(x)
+    monkeypatch.setattr(model, "tau_matrix", counting)
+    check_ljr(family, NO_RELATION, samples=xs)
+    assert len(chunks) > 1 and calls == [c.stop - c.start for c in chunks]
+    calls.clear()
+    _detect_rows(family, xs[chunks[0]])
+    assert calls == [chunks[0].stop]
+
+
+@pytest.mark.parametrize("call", [
+    lambda family, xs: check_ljr(family, Polynomial([0.0, 1.0]), samples=xs),
+    lambda family, xs: minimal_ljr(family, samples=xs),
+], ids=["check_ljr", "minimal_ljr"])
+@pytest.mark.parametrize("xs", [np.full(17, 17 ** -0.5), np.empty((0, 17)),
+                                np.eye(16)], ids=["one_x", "no_rows", "wrong_width"])
+def test_sample_arrays_are_rows_of_n_columns(call, xs):
+    family = JacobiFamily(entry("heisenberg:n=8,c=1").build())
+    with pytest.raises(ValueError, match=r"shape \(N, 17\) with N >= 1"):
+        call(family, xs)
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
