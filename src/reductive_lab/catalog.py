@@ -118,11 +118,13 @@ def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
     omega = j.T  # omega[i, l] = <J e_i, e_l>
     eta = np.zeros(dim)
     eta[2 * n] = 1.0
-    tau = c * (np.einsum("il,k->ilk", omega, eta)
-               + np.einsum("lk,i->ilk", omega, eta)
-               + np.einsum("ki,l->ilk", omega, eta))
-    rbar = c ** 2 * np.einsum("il,ab->ilab", omega, j)
-    return InfinitesimalModel(tau, rbar)
+    tau = c * (omega[:, :, None] * eta + omega[None, :, :] * eta[:, None, None]
+               + omega.T[:, None, :] * eta[None, :, None])
+    # rbar[i, l, a, b] = c^2 omega[i, l] j[a, b], built in the layout the model
+    # stores (axes l, b, a, i), so that no n^4 array is copied
+    w = (c ** 2 * omega).T
+    stored = np.multiply(w[:, None, None, :], j.T[None, :, :, None], order="C")
+    return InfinitesimalModel(tau, stored.transpose(3, 0, 2, 1))
 
 
 def aloff_wallach_n11(s: float) -> InfinitesimalModel:
@@ -280,7 +282,7 @@ def berger_consistency(n: int, s: float) -> dict:
     r2_round = 1.0 / float(values.mean())
     r2 = r2_round * (1.0 + star) / (1.0 + s)
 
-    base_model = to_model(base)
+    base_model = _model_of(base)
     if base_model.n == 2:
         kappa = sectional_curvature(base_model, *np.eye(2))
     else:

@@ -34,7 +34,7 @@ __all__ = [
 
 JACOBI_TOL = 1e-10
 _JACOBI_BLOCK = 2 ** 14  # products per block of the sparse Jacobi sum
-_JACOBI_CHUNK = 2 ** 16  # entries per temporary of the dense Jacobi loop
+_JACOBI_CHUNK = 2 ** 16  # entries per temporary of the dense Jacobi loop and commutator blocks
 
 
 class DimensionMismatch(ValueError):
@@ -52,9 +52,9 @@ class DegenerateRestriction(ValueError):
 class LieAlgebra:
     """Lie algebra given by sparse structure constants c^k_{ij}.
 
-    brackets may be a {(i, j, k): value} map or an iterable of
-    (i, j, k, value); missing (j, i, k) entries are completed
-    antisymmetrically, conflicting ones rejected.
+    brackets may be a {(i, j, k): value} map, an iterable of
+    (i, j, k, value) or an (N, 4) array of them; missing (j, i, k) entries
+    are completed antisymmetrically, conflicting ones rejected.
     """
 
     def __init__(self, dim: int, brackets, labels=None, jacobi_tol: float = JACOBI_TOL):
@@ -66,41 +66,30 @@ class LieAlgebra:
         self.labels = list(labels)
 
         if isinstance(brackets, dict):
-            entries = [(i, j, k, v) for (i, j, k), v in brackets.items()]
-        else:
-            entries = [tuple(e) for e in brackets]
-        seen = {}
-        for i, j, k, v in entries:
-            i, j, k, v = int(i), int(j), int(k), float(v)
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise DimensionMismatch("bracket index out of range: %s" % ((i, j, k),))
-            if i == j:
-                if v != 0.0:
-                    raise ValueError("[e%d, e%d] must vanish" % (i, i))
-                continue
-            if (i, j, k) in seen and seen[(i, j, k)] != v:
-                raise ValueError("conflicting entries for %s" % ((i, j, k),))
-            seen[(i, j, k)] = v
-        tensor = np.zeros((dim, dim, dim))
-        for (i, j, k), v in seen.items():
-            tensor[i, j, k] = v
-        for (i, j, k), v in seen.items():
-            if (j, i, k) in seen:
-                if seen[(j, i, k)] != -v:
-                    raise ValueError("antisymmetry violated at %s" % ((i, j, k),))
-            else:
-                tensor[j, i, k] = -v
-        self.tensor = tensor
-        i, j, k = np.nonzero(tensor)
+            brackets = [(*key, v) for key, v in brackets.items()]
+        elif not isinstance(brackets, np.ndarray):
+            brackets = list(brackets)
+        rows = np.asarray(brackets, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, 4)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError("brackets must be (i, j, k, value) entries")
+        self.tensor = _structure_tensor(self.dim, rows)
+        i, j, k = np.nonzero(self.tensor)
         upper = i < j
         i, j, k = i[upper], j[upper], k[upper]
-        self._upper = (i, j, k, tensor[i, j, k])  # the nonzero c^k_ij with i < j
-        self.triples = tuple(zip(i.tolist(), j.tolist(), k.tolist(), self._upper[3]))
+        self._upper = (i, j, k, self.tensor[i, j, k])  # the nonzero c^k_ij with i < j
         self.matrices = None  # set by from_matrix_algebra
 
         residual = self.jacobi_residual()
         if residual > jacobi_tol:
             raise ValueError("Jacobi identity fails: residual %.3e" % residual)
+
+    @property
+    def triples(self) -> tuple:
+        """The nonzero c^k_ij with i < j as (i, j, k, value), sorted."""
+        i, j, k, v = self._upper
+        return tuple(zip(i.tolist(), j.tolist(), k.tolist(), v))
 
     def jacobi_residual(self) -> float:
         """Max |[ad e_i, ad e_j] - ad [e_i, e_j]| over i < j.
@@ -154,7 +143,60 @@ class LieAlgebra:
         return BilinearForm(0.5 * (k + k.T), name="killing")
 
     def __repr__(self):
-        return "LieAlgebra(dim=%d, nnz=%d)" % (self.dim, len(self.triples))
+        return "LieAlgebra(dim=%d, nnz=%d)" % (self.dim, len(self._upper[0]))
+
+
+def _structure_tensor(dim, rows):
+    """The dense c^k_ij of the entries rows = (i, j, k, value), completed
+    antisymmetrically.
+
+    Entries are read in order, as a loop over them would: the first entry
+    that is out of range, a nonzero [e_i, e_i], or a repeat of an earlier
+    (i, j, k) with another value raises.  Then, in the order of first
+    appearance, a given (j, i, k) that is not minus its (i, j, k) raises;
+    a missing one is filled in.
+    """
+    idx = rows[:, :3].astype(np.int64)  # truncates as int() does
+    v = rows[:, 3]
+    i, j, k = idx.T
+    outside = np.any((idx < 0) | (idx >= dim), axis=1)
+    diagonal = ~outside & (i == j)
+    kept = np.flatnonzero(~outside & ~diagonal)
+    key = ((i[kept] * dim + j[kept]) * dim + k[kept])
+    order = np.argsort(key, kind="stable")  # repeats of a key in entry order
+    key, val, kept = key[order], v[kept][order], kept[order]
+    repeat = key[1:] == key[:-1]
+    conflict = np.zeros(len(v), dtype=bool)
+    conflict[kept[1:][repeat & (val[1:] != val[:-1])]] = True
+    faults = [(outside, lambda r: DimensionMismatch(
+                  "bracket index out of range: %s" % (_key(idx[r]),))),
+              (diagonal & (v != 0.0), lambda r: ValueError(
+                  "[e%d, e%d] must vanish" % (i[r], i[r]))),
+              (conflict, lambda r: ValueError("conflicting entries for %s" % (_key(idx[r]),)))]
+    first = [int(np.argmax(mask)) if mask.any() else len(v) for mask, _ in faults]
+    r = min(first)
+    if r < len(v):
+        raise faults[first.index(r)][1](r)
+
+    unique = np.ones(len(key), dtype=bool)
+    unique[1:] = ~repeat
+    key, val, kept = key[unique], val[unique], kept[unique]  # sorted by key
+    ui, uj, uk = idx[kept].T
+    swapped = (uj * dim + ui) * dim + uk
+    pos = np.minimum(np.searchsorted(key, swapped), len(key) - 1)  # -1 only when empty
+    given = key[pos] == swapped
+    broken = np.flatnonzero(given & (val[pos] != -val))
+    if broken.size:
+        r = kept[broken[np.argmin(kept[broken])]]
+        raise ValueError("antisymmetry violated at %s" % (_key(idx[r]),))
+    tensor = np.zeros((dim, dim, dim))
+    tensor[ui, uj, uk] = val
+    tensor[uj[~given], ui[~given], uk[~given]] = -val[~given]
+    return tensor
+
+
+def _key(index):
+    return tuple(int(x) for x in index)
 
 
 def _dense_jacobi_residual(c):
@@ -240,9 +282,14 @@ class BilinearForm:
         return float(np.asarray(x, float) @ self.matrix @ np.asarray(y, float))
 
     def invariance_residual(self, g: LieAlgebra) -> float:
-        """Max |ad(e_z)^T B + B ad(e_z)| over z."""
-        cb = g.tensor @ self.matrix  # cb[z] = ad(e_z)^T B
-        return float(np.max(np.abs(cb + cb.transpose(0, 2, 1)), initial=0.0))
+        """Max |ad(e_z)^T B + B ad(e_z)| over z, for z in steps of at most
+        max(1, _JACOBI_CHUNK // dim^2)."""
+        step = max(1, _JACOBI_CHUNK // g.dim ** 2)
+        worst = [0.0]
+        for z in range(0, g.dim, step):
+            cb = g.tensor[z:z + step] @ self.matrix  # cb[z] = ad(e_z)^T B
+            worst.append(np.max(np.abs(cb + cb.transpose(0, 2, 1))))
+        return float(np.max(worst))
 
     def scaled(self, factor: float) -> "BilinearForm":
         return BilinearForm(factor * self.matrix, name=self.name)
@@ -254,8 +301,10 @@ class BilinearForm:
 def null_space(a) -> np.ndarray:
     """Orthonormal kernel basis of a real or complex matrix, as columns.
 
-    Singular values up to 1e-10 of the largest count as zero."""
-    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    Singular values up to 1e-10 of the largest count as zero.  The full
+    square U is formed only for wide matrices, whose full V needs it."""
+    a = np.asarray(a)
+    _, sv, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(sv > np.amax(sv, initial=0.0) * 1e-10))
     return vh[rank:].conj().T
 
@@ -264,35 +313,38 @@ def from_matrix_algebra(matrices) -> LieAlgebra:
     """Lie algebra spanned by real matrices, closed under commutator.
 
     Structure constants come from expanding commutators in the generator
-    basis; a commutator leaving the span raises NotClosed.
+    basis; a commutator leaving the span raises NotClosed.  The pairs
+    i < j are expanded in blocks of about _JACOBI_CHUNK matrix entries, and
+    only the nonzero constants of a block are kept.
     """
     mats = [np.asarray(m, dtype=float) for m in matrices]
     d = len(mats)
     stack = np.array(mats)
     span = stack.reshape(d, -1).T
-    if np.linalg.matrix_rank(span, tol=1e-10) < d:
+    # one SVD for the rank test and for the pseudo-inverse (np.linalg.pinv's
+    # formula at its default cutoff, 1e-15 of the largest singular value)
+    u, sv, vh = np.linalg.svd(span, full_matrices=False)
+    if np.count_nonzero(sv > 1e-10) < d:
         raise ValueError("generators are linearly dependent")
-    pinv = np.linalg.pinv(span)
-    scale = max(1.0, max(np.linalg.norm(m) for m in mats))
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * np.max(sv))
+    pinv = vh.T @ (inverse[:, None] * u.T)
+    scale = max(1.0, float(np.sqrt(np.max(np.sum(span * span, axis=0)))))
     i, j = np.triu_indices(d, 1)
-    comm = np.empty((i.size,) + stack.shape[1:])
-    p = 0
-    for a in range(d - 1):  # the rows of (a, a + 1), ..., (a, d - 1)
-        rest = stack[a + 1:]
-        comm[p:p + len(rest)] = stack[a] @ rest - rest @ stack[a]
-        p += len(rest)
-    comm = comm.reshape(i.size, -1)
-    coords = comm @ pinv.T  # row p: [m_i, m_j] at (i[p], j[p]) in generator coordinates
-    residual = np.empty(i.size)
-    for p in range(0, i.size, d):  # row blocks: no second (pairs, n^2) array
-        residual[p:p + d] = np.linalg.norm(coords[p:p + d] @ span.T - comm[p:p + d], axis=1)
-    if residual.size:
-        worst = int(np.argmax(residual))
-        if residual[worst] > 1e-9 * scale ** 2:
-            raise NotClosed("[m%d, m%d] leaves the span: residual %.3e"
-                            % (i[worst], j[worst], residual[worst]))
-    p, k = np.nonzero(np.abs(coords) > 1e-12)
-    g = LieAlgebra(d, zip(i[p], j[p], k, coords[p, k]))
+    step = max(d, _JACOBI_CHUNK // span.shape[0])
+    entries, worst, at = [], 0.0, 0
+    for p in range(0, i.size, step):
+        x, y = stack[i[p:p + step]], stack[j[p:p + step]]
+        comm = (x @ y - y @ x).reshape(len(x), -1)
+        coords = comm @ pinv.T  # row q: [m_i, m_j] at pair p + q in generator coordinates
+        residual = np.linalg.norm(coords @ span.T - comm, axis=1)
+        q = int(np.argmax(residual))
+        if residual[q] > worst:
+            worst, at = float(residual[q]), p + q
+        q, k = np.nonzero(np.abs(coords) > 1e-12)
+        entries.append(np.column_stack([i[p + q], j[p + q], k, coords[q, k]]))
+    if worst > 1e-9 * scale ** 2:
+        raise NotClosed("[m%d, m%d] leaves the span: residual %.3e" % (i[at], j[at], worst))
+    g = LieAlgebra(d, np.concatenate(entries) if entries else [])
     g.matrices = mats
     return g
 
@@ -305,22 +357,19 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
     """
     if isinstance(tensors, np.ndarray):
         tensors = [tensors]
-    reps = [np.asarray(m, dtype=float) for m in rep_matrices]
+    reps = np.array([np.asarray(m, dtype=float) for m in rep_matrices])
     if len(reps) != g.dim:
         raise AssertionError("%d representation matrices for dimension %d" % (len(reps), g.dim))
     rows = []
     for t in tensors:
         t = np.asarray(t, dtype=float)
         order = t.ndim
-        cols = []
-        for a in reps:
-            dt = np.zeros_like(t)
-            for axis in range(order):
-                # action on covariant tensors: (A*t)(x,..) = -sum_axis t(.., Ax, ..)
-                dt -= np.tensordot(t, a, axes=([axis], [0])).transpose(
-                    _restore_axis(order, axis))
-            cols.append(dt.reshape(-1))
-        rows.append(np.column_stack(cols))
+        dt = np.zeros((g.dim,) + t.shape)
+        for axis in range(order):
+            # action on covariant tensors: (A*t)(x,..) = -sum_axis t(.., Ax, ..)
+            dt -= np.moveaxis(np.tensordot(t, reps, axes=([axis], [1])), (order - 1, order),
+                              (0, axis + 1))
+        rows.append(dt.reshape(g.dim, -1).T)
     system = np.vstack(rows)
     kernel = null_space(system)
     if kernel.shape[1] == 0:
@@ -333,13 +382,6 @@ def stabilizer_subalgebra(g: LieAlgebra, rep_matrices, tensors) -> np.ndarray:
     return kernel
 
 
-def _restore_axis(order, axis):
-    # tensordot moved the contracted slot to the end; put it back at `axis`
-    perm = list(range(order - 1))
-    perm.insert(axis, order - 1)
-    return perm
-
-
 def orthocomplement(g: LieAlgebra, subspace, B: BilinearForm) -> np.ndarray:
     """B-orthogonal complement of a subspace, as (dim, k) columns."""
     s = np.asarray(subspace, dtype=float)
@@ -348,7 +390,9 @@ def orthocomplement(g: LieAlgebra, subspace, B: BilinearForm) -> np.ndarray:
     if s.shape[1] == 0:
         return np.eye(g.dim)
     gram = s.T @ B.matrix @ s
-    if s.shape[1] and np.linalg.matrix_rank(gram, tol=1e-10) < s.shape[1]:
+    # relative to |B| and the longest column, so that a scaled form passes alike
+    tol = 1e-10 * np.max(np.abs(B.matrix)) * np.max(np.sum(s * s, axis=0))
+    if np.linalg.matrix_rank(gram, tol=tol) < s.shape[1]:
         raise DegenerateRestriction("B restricts degenerately to the subspace")
     comp = null_space(s.T @ B.matrix)
     if comp.shape[1] != g.dim - s.shape[1]:
@@ -361,21 +405,23 @@ def orthonormalize(vectors, B: BilinearForm) -> np.ndarray:
     """Modified Gram-Schmidt against B with one re-orthogonalization pass.
 
     Requires B positive definite on the span; raises DegenerateRestriction on
-    (near-)degenerate input.
+    (near-)degenerate input: a squared B-norm of at most 1e-10 |v| |Bv| for
+    the input column v, a bound that scales with B and with v.
     """
     v = np.array(vectors, dtype=float, copy=True)
     m = B.matrix
-    out = []
+    out, dual = [], []  # the columns so far and their rows q^T B
     for col in v.T:
         w = col.copy()
         for _ in range(2):
-            for q in out:
-                w -= (q @ m @ w) * q
+            for q, qm in zip(out, dual):
+                w -= (qm @ w) * q
         norm2 = float(w @ m @ w)
-        if norm2 < 1e-10:
+        if norm2 <= 1e-10 * float(np.linalg.norm(col) * np.linalg.norm(m @ col)):
             raise DegenerateRestriction(
                 "vector has non-positive B-norm %.3e during Gram-Schmidt" % norm2)
         out.append(w / np.sqrt(norm2))
+        dual.append(out[-1] @ m)
     return np.column_stack(out) if out else np.zeros((v.shape[0], 0))
 
 
@@ -383,15 +429,15 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
     dims = [g.dim for g in algebras]
     offsets = np.concatenate([[0], np.cumsum(dims)])
     total = int(offsets[-1])
-    brackets = {}
+    rows = [np.zeros((0, 4))]
     labels = []
     collide = len({lab for g in algebras for lab in g.labels}) < total
     for idx, (g, off) in enumerate(zip(algebras, offsets)):
         off = int(off)
         labels.extend("%d:%s" % (idx, lab) if collide else lab for lab in g.labels)
-        for i, j, k, val in g.triples:
-            brackets[(i + off, j + off, k + off)] = val
-    out = LieAlgebra(total, brackets, labels=labels)
+        i, j, k, val = g._upper
+        rows.append(np.column_stack([i + off, j + off, k + off, val]))
+    out = LieAlgebra(total, np.concatenate(rows), labels=labels)
     if all(g.matrices is not None for g in algebras):
         sizes = [np.shape(g.matrices[0])[0] for g in algebras]
         starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -405,43 +451,46 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
 
 
 def realify(m) -> np.ndarray:
-    """Complex n x n matrix X + iY to real 2n x 2n [[X, -Y], [Y, X]]."""
+    """Complex n x n matrix X + iY to real 2n x 2n [[X, -Y], [Y, X]]; a
+    stack of them (..., n, n) to the stack of their realifications."""
     m = np.asarray(m, dtype=complex)
-    x, y = m.real, m.imag
-    return np.block([[x, -y], [y, x]])
+    r, c = m.shape[-2:]
+    out = np.empty(m.shape[:-2] + (2 * r, 2 * c))
+    out[..., :r, :c] = out[..., r:, c:] = m.real
+    out[..., r:, :c] = m.imag
+    out[..., :r, c:] = -m.imag
+    return out
 
 
 def quaternion_to_complex(a, b, c, d) -> np.ndarray:
     """Quaternionic matrix A + Bi + Cj + Dk as a complex 2n x 2n matrix.
 
-    Entries are replaced by their 2 x 2 complex blocks, i.e. kron with the
-    standard images of 1, i, j, k.
+    Entries are replaced by their 2 x 2 complex blocks, the images
+    [[a + bi, c + di], [-c + di, a - bi]] of a + bi + cj + dk.
     """
-    one = np.eye(2, dtype=complex)
-    qi = np.array([[1j, 0], [0, -1j]])
-    qj = np.array([[0, 1], [-1, 0]], dtype=complex)
-    qk = np.array([[0, 1j], [1j, 0]])
-    return (np.kron(a, one) + np.kron(b, qi) + np.kron(c, qj) + np.kron(d, qk))
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    r, s = a.shape
+    out = np.empty((2 * r, 2 * s), dtype=complex)
+    out[0::2, 0::2] = a + 1j * b
+    out[0::2, 1::2] = c + 1j * d
+    out[1::2, 0::2] = -c + 1j * d
+    out[1::2, 1::2] = a - 1j * b
+    return out
 
 
 def su_generators(n: int, size: int) -> list:
     """Realified generators of su(n) in the upper-left block of size x size
     complex matrices: E_pq - E_qp and i(E_pq + E_qp) for p < q, then
     i(E_pp - E_(p+1)(p+1))."""
-    mats = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            e = np.zeros((size, size), dtype=complex)
-            e[p, q], e[q, p] = 1.0, -1.0
-            mats.append(e)
-            e = np.zeros((size, size), dtype=complex)
-            e[p, q] = e[q, p] = 1j
-            mats.append(e)
-    for p in range(n - 1):
-        e = np.zeros((size, size), dtype=complex)
-        e[p, p], e[p + 1, p + 1] = 1j, -1j
-        mats.append(e)
-    return [realify(m) for m in mats]
+    p, q = np.triu_indices(n, 1)
+    pairs, diagonal = 2 * len(p), np.arange(n - 1)
+    mats = np.zeros((pairs + n - 1, size, size), dtype=complex)
+    even, odd = np.arange(0, pairs, 2), np.arange(1, pairs, 2)
+    mats[even, p, q], mats[even, q, p] = 1.0, -1.0
+    mats[odd, p, q] = mats[odd, q, p] = 1j
+    mats[pairs + diagonal, diagonal, diagonal] = 1j
+    mats[pairs + diagonal, diagonal + 1, diagonal + 1] = -1j
+    return list(realify(mats))
 
 
 def su(n: int) -> LieAlgebra:

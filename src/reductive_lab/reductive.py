@@ -16,6 +16,8 @@ from .algebra import check_close
 from .liealg import (BilinearForm, LieAlgebra, null_space, orthocomplement,
                      orthonormalize)
 
+_SLAB_DOUBLES = 2 ** 13  # entries per slab of the curvature skew checks
+
 __all__ = [
     "NotReductive",
     "IndefiniteMetric",
@@ -80,7 +82,7 @@ class ReductiveTriple:
         self.B = B
         self.m_basis = np.asarray(m_basis, dtype=float)
         self.dim_m = self.m_basis.shape[1]
-        self.model = None  # set by extend_fibered, whose postcondition builds it
+        self.model = None  # set by extend_fibered on both triples, whose models it checks
         self.check()
 
     def m_component(self, v) -> np.ndarray:
@@ -112,27 +114,39 @@ def build_triple(g: LieAlgebra, h_basis, B: BilinearForm,
     """Construct and fully verify a naturally reductive triple.
 
     When m_basis is omitted it is computed as the B-orthocomplement of h,
-    orthonormalized by modified Gram-Schmidt against B.
+    orthonormalized by modified Gram-Schmidt against B.  The invariance test
+    is relative to max|B| max|c^k_ij|; the degeneracy and positivity tests
+    read the spectrum of the form with every row scaled to unit size.  So a
+    scaled form, or rescaled basis vectors, pass or fail alike.
     """
     residual = B.invariance_residual(g)
-    if residual > 1e-9:
+    if residual > 1e-9 * np.max(np.abs(B.matrix)) * np.max(np.abs(g.tensor), initial=0.0):
         raise NonInvariantForm("B is not invariant: residual %.3e" % residual)
-    eigs = np.linalg.eigvalsh(B.matrix)
-    if np.min(np.abs(eigs)) <= 1e-10:
+    if np.min(np.abs(_unit_row_spectrum(B.matrix))) <= 1e-10:
         raise NonInvariantForm("B is degenerate on g")
     h_basis = np.asarray(h_basis, dtype=float).reshape(g.dim, -1)
     if m_basis is None:
         m_cols = orthocomplement(g, h_basis, B)
         gram = m_cols.T @ B.matrix @ m_cols
-        if m_cols.shape[1] and np.min(np.linalg.eigvalsh(gram)) <= 1e-10:
+        if m_cols.shape[1] and np.min(_unit_row_spectrum(gram)) <= 1e-10:
             raise IndefiniteMetric("B restricted to m is not positive definite")
         m_basis = orthonormalize(m_cols, B)
     else:
         m_basis = np.asarray(m_basis, dtype=float)
         gram = m_basis.T @ B.matrix @ m_basis
-        if np.min(np.linalg.eigvalsh(gram)) <= 1e-10:
+        if np.min(_unit_row_spectrum(gram)) <= 1e-10:
             raise IndefiniteMetric("B restricted to m is not positive definite")
     return ReductiveTriple(g, h_basis, B, m_basis)
+
+
+def _unit_row_spectrum(a) -> np.ndarray:
+    """Eigenvalues of D a D for a symmetric a, D = diag(max_j |a_ij|)^(-1/2):
+    the spectrum with every row scaled to unit size, which does not change
+    when a is scaled or its basis vectors are.  A zero row gives a zero
+    eigenvalue."""
+    size = np.max(np.abs(a), axis=1)
+    d = np.divide(1.0, np.sqrt(size), out=np.zeros_like(size), where=size > 0)
+    return np.linalg.eigvalsh(d[:, None] * a * d)
 
 
 class InfinitesimalModel:
@@ -158,14 +172,28 @@ class InfinitesimalModel:
         self.check()
 
     def check(self) -> None:
-        """tau and rbar are skew in each slot pair, up to 1e-10 max|tensor|."""
-        t, r = self.tau, self.rbar
-        for name, full, skew in (("tau(x, y)", t, t + t.transpose(1, 0, 2)),
-                                 ("tau(x, ., .)", t, t + t.transpose(0, 2, 1)),
-                                 ("rbar(x, y)", r, r + r.transpose(1, 0, 2, 3)),
-                                 ("rbar(x, y) as an endomorphism", r,
-                                  r + r.transpose(0, 1, 3, 2))):
-            if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * np.max(np.abs(full), initial=0.0):
+        """tau and rbar are skew in each slot pair, up to 1e-10 max|tensor|.
+
+        rbar is read from the stored matrix in slabs of at most
+        _SLAB_DOUBLES entries, so that each slot swap stays in cache."""
+        t, n = self.tau, self.n
+        for name, skew in (("tau(x, y)", t + t.transpose(1, 0, 2)),
+                           ("tau(x, ., .)", t + t.transpose(0, 2, 1))):
+            if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * np.max(np.abs(t), initial=0.0):
+                raise AssertionError("%s is not skew" % name)
+        c = self._curvature.reshape(n, n, n, n)  # c[j, b, a, u] = rbar[u, j, a, b]
+        step = max(1, _SLAB_DOUBLES // n ** 3)
+        pair, endo = [0.0], [0.0]
+        for b in range(0, n, step):
+            slab = np.ascontiguousarray(c[:, b:b + step])
+            pair.append(np.abs(slab + slab.transpose(3, 1, 2, 0)).max())
+            endo.append(np.abs(slab + c[:, :, b:b + step].transpose(0, 2, 1, 3)).max())
+        # the one n^4 temporary: freeing it raises glibc's dynamic mmap and trim
+        # thresholds, so later MB-sized temporaries (relation detection) reuse
+        # heap pages instead of faulting in fresh ones
+        bound = 1e-10 * np.max(np.abs(self._curvature), initial=0.0)
+        for name, worst in (("rbar(x, y)", pair), ("rbar(x, y) as an endomorphism", endo)):
+            if not np.max(worst) <= bound:
                 raise AssertionError("%s is not skew" % name)
 
     def tau_matrix(self, x) -> np.ndarray:
@@ -184,16 +212,22 @@ class InfinitesimalModel:
     def holonomy_residual(self) -> float:
         """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation.
 
-        One row i at a time, over all j > i, so memory stays O(n^4).
+        One row i at a time, over all j > i, as three matrix products of
+        rbar(e_i, e_j) with tau, one per slot, so memory stays O(n^4).
         """
-        t = self.tau
+        n, t = self.n, self.tau
+        first = t.reshape(n, n * n)                      # [m, (b, c)]
+        middle = t.transpose(1, 0, 2).reshape(n, n * n)  # [m, (a, c)]
+        last = t.reshape(n * n, n)                       # [(a, b), m]
+        c = self._curvature.reshape(n, n, n, n)  # c[j, m, a, i] = rbar[i, j, a, m]
         worst = 0.0
-        for i in range(self.n):
-            a = self.rbar[i, i + 1:]
-            dt = (np.einsum("jam,mbc->jabc", a, t, optimize=True)
-                  + np.einsum("jbm,amc->jabc", a, t, optimize=True)
-                  + np.einsum("jcm,abm->jabc", a, t, optimize=True))
-            worst = max(worst, float(np.max(np.abs(dt), initial=0.0)))
+        for i in range(n - 1):
+            a = c[i + 1:, :, :, i].transpose(0, 2, 1).reshape(-1, n)  # [(j, a), m]
+            rows = n - 1 - i
+            dt = (a @ first).reshape(rows, n, n, n)
+            dt += (a @ middle).reshape(rows, n, n, n).transpose(0, 2, 1, 3)
+            dt += (last @ a.T).reshape(n, n, rows, n).transpose(2, 0, 1, 3)
+            worst = max(worst, float(np.abs(dt).max()))
         return worst
 
 
@@ -209,7 +243,11 @@ def to_model(triple: ReductiveTriple) -> InfinitesimalModel:
     model = InfinitesimalModel(tau, rbar.reshape(n, n, n, n))
     model.triple = triple
     residual = model.holonomy_residual()
-    if not residual < 1e-9:
+    # relative to the curvature scale k = max(|tau|^2, |rbar|): the residual
+    # scales as k^(3/2) under a scaled form, and tau may be rounding noise
+    scale = max(np.max(np.abs(model.tau), initial=0.0) ** 2,
+                np.max(np.abs(model._curvature), initial=0.0)) ** 1.5
+    if not residual <= 1e-9 * scale:
         raise AssertionError("canonical curvature does not preserve tau: %.3e" % residual)
     return model
 
@@ -402,9 +440,10 @@ def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: fl
     # z-columns are (sign B)-orthonormal, so sign B z_cols reads off coordinates
     coords = sign * (g.brackets(z_cols, z_cols)[i, j] @ (B.matrix @ z_cols))
     p, k = np.nonzero(np.abs(coords) > 1e-12)
-    fiber = zip(d + i[p], d + j[p], d + k, coords[p, k])
-    ghat = LieAlgebra(d + q, list(g.triples) + list(fiber),
-                      labels=list(g.labels) + ["f%d" % a for a in range(q)])
+    gi, gj, gk, gv = g._upper
+    rows = np.concatenate([np.column_stack([gi, gj, gk, gv]),
+                           np.column_stack([d + i[p], d + j[p], d + k, coords[p, k]])])
+    ghat = LieAlgebra(d + q, rows, labels=list(g.labels) + ["f%d" % a for a in range(q)])
     bm = np.zeros((d + q, d + q))
     bm[:d, :d] = B.matrix
     bm[d:, d:] = (sign / s) * np.eye(q)
@@ -418,28 +457,34 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     Horizontal torsion is unchanged and the vertical part is the isotropy
     action of the fiber directions scaled by 1/sqrt(|1+s|); for a 1-dim
     fiber the full closed forms of the extended torsion and curvature hold.
+    Tolerances are 1e-9 of max|tau| and of max|rbar| of the extension, so
+    that they hold alike for a scaled form.
     """
     n = base.dim_m
     model = to_model(extended)
-    base_model = to_model(base)
-    check_close(model.tau[:n, :n, :n], base_model.tau, 1e-9,
+    if base.model is None:
+        base.model = to_model(base)
+    base_model = base.model
+    tol_t = 1e-9 * np.max(np.abs(model.tau))
+    tol_r = 1e-9 * np.max(np.abs(model._curvature))
+    check_close(model.tau[:n, :n, :n], base_model.tau, tol_t,
                 err_msg="horizontal torsion changed")
     denom = np.sqrt(sign * (1.0 + s))
     # rhos[a] is the isotropy action of z_a on m: column b is [z_a, m_b]_m
     rhos = base.m_component(base.g.brackets(z_cols, base.m_basis)).transpose(0, 2, 1)
     # tau_hat(x, y, w_a) = -<rho_a x, y> / sqrt(|1+s|)
-    check_close(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom, 1e-9,
+    check_close(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom, tol_t,
                 err_msg="vertical torsion wrong")
     if q == 1:
-        if not np.max(np.abs(model.tau[:, n:, n:])) < 1e-9:
+        if not np.max(np.abs(model.tau[:, n:, n:])) < tol_t:
             raise AssertionError("torsion has a vertical-vertical part")
         rho = rhos[0]
         form = rho.T  # form[i, j] = <rho e_i, e_j>
         expected_r = base_model.rbar + \
             np.einsum("ij,ab->ijab", form, rho) / (sign * (1.0 + s))
-        check_close(model.rbar[:n, :n, :n, :n], expected_r, 1e-9,
+        check_close(model.rbar[:n, :n, :n, :n], expected_r, tol_r,
                     err_msg="horizontal curvature wrong")
-        if not (np.max(np.abs(model.rbar[n:])) < 1e-9
-                and np.max(np.abs(model.rbar[:, :, n:])) < 1e-9):
+        if not (np.max(np.abs(model.rbar[n:])) < tol_r
+                and np.max(np.abs(model.rbar[:, :, n:])) < tol_r):
             raise AssertionError("curvature has a vertical part")
     return model

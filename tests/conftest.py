@@ -33,6 +33,21 @@ def reference_jacobi_operator(model, x) -> np.ndarray:
     return np.einsum("ujab,j,b->au", model.rbar, x, x) - 0.25 * (t @ t)
 
 
+def reference_holonomy_residual(model) -> float:
+    """Max |rbar(e_i, e_j) acting on tau as a derivation| over i < j, as three
+    einsums per row i over the 4-index rbar: the oracle for the library's
+    matrix products with the stored curvature."""
+    t = model.tau
+    worst = 0.0
+    for i in range(model.n):
+        a = model.rbar[i, i + 1:]
+        dt = (np.einsum("jam,mbc->jabc", a, t, optimize=True)
+              + np.einsum("jbm,amc->jabc", a, t, optimize=True)
+              + np.einsum("jcm,abm->jabc", a, t, optimize=True))
+        worst = max(worst, float(np.max(np.abs(dt), initial=0.0)))
+    return worst
+
+
 def standard_j(n) -> np.ndarray:
     """Complex structure pairing (e_1, e_2), (e_3, e_4), ... (interleaved)."""
     assert n % 2 == 0

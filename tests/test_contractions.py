@@ -304,7 +304,9 @@ class TestReductiveCheck:
 
 
 class TestFromMatrixAlgebra:
-    @pytest.mark.parametrize("builder", [lambda: su(3), lambda: so(5), lambda: sp(2)])
+    # su(6): its 595 pairs are expanded in two blocks
+    @pytest.mark.parametrize("builder", [lambda: su(3), lambda: so(5), lambda: sp(2),
+                                         lambda: su(6)])
     def test_structure_tensor_matches_pair_solves(self, builder):
         g = builder()
         np.testing.assert_allclose(g.tensor, ref_structure_tensor(g.matrices), atol=1e-13)

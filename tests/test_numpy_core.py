@@ -328,3 +328,80 @@ def test_jacobi_and_model_checks_run_under_optimize():
     assert shape[0] == "ValueError" and "shapes" in shape[1]
     assert symmetric[0] == "ValueError" and "not symmetric" in symmetric[1]
     assert zero == ["ValueError", "the universal relation needs a nonzero X"]
+
+
+CONSTRUCTION_CHECKS_UNDER_O = """
+import json
+import numpy as np
+from reductive_lab.catalog import _berger_pieces, entry, rescale_model
+from reductive_lab.liealg import (BilinearForm, LieAlgebra, from_matrix_algebra, orthonormalize,
+                                  so, su)
+from reductive_lab.reductive import (InfinitesimalModel, ReductiveTriple, build_triple,
+                                     extend_fibered, orthocomplement, to_model)
+
+if __debug__:
+    raise SystemExit("run with python -O")
+flag = entry("nk:flag").build()
+endo = np.array(flag.rbar)
+endo[0, 1, 4, 5] += 1e-3
+endo[1, 0, 4, 5] -= 1e-3  # still skew in (x, y)
+pair = np.array(flag.rbar)
+pair[0, 1, 4, 5] += 1e-3
+pair[0, 1, 5, 4] -= 1e-3  # still skew as an endomorphism
+su3 = su(3)
+trace = BilinearForm(-0.25 * np.einsum("ipq,jqp->ij", np.array(su3.matrices),
+                                       np.array(su3.matrices)))
+h = np.zeros((8, 2))
+h[0, 0] = h[2, 1] = 1.0  # brackets escape the span
+escaping = object.__new__(ReductiveTriple)
+escaping.g, escaping.h_basis, escaping.B, escaping.model = su3, h, trace, None
+escaping.m_basis = orthonormalize(orthocomplement(su3, h, trace), trace)
+escaping.dim_m = 6
+g, k, normal, form = _berger_pieces(2, 1)
+base = build_triple(g, k, form)
+extend_fibered(base, normal, 0.5)
+base.model = rescale_model(base.model, 2.0)
+messages = []
+for call in (
+        lambda: LieAlgebra(3, [(0, 1, 5, 1.0)]),
+        lambda: LieAlgebra(3, [(1, 1, 0, 2.0)]),
+        lambda: LieAlgebra(3, [(0, 1, 2, 1.0), (0, 1, 2, 2.0)]),
+        lambda: LieAlgebra(3, {(0, 1, 2): 1.0, (1, 0, 2): 1.0}),
+        lambda: from_matrix_algebra(list(so(12).matrices) + [np.diag(np.arange(12.0))]),
+        lambda: InfinitesimalModel(flag.tau, pair),
+        lambda: InfinitesimalModel(flag.tau, endo),
+        lambda: to_model(escaping),
+        lambda: build_triple(su3, np.zeros((8, 0)), BilinearForm(np.diag(np.arange(8.0)))),
+        lambda: build_triple(su3, np.zeros((8, 0)), BilinearForm(np.zeros((8, 8)))),
+        lambda: build_triple(su3, np.zeros((8, 0)), trace.scaled(-1e-12)),
+        lambda: orthonormalize(np.array([[1.0, 2.0], [0.0, 0.0]]), BilinearForm(np.eye(2))),
+        lambda: extend_fibered(base, normal, 0.5)):
+    try:
+        call()
+        messages.append(None)
+    except Exception as exc:
+        messages.append([type(exc).__name__, str(exc).split("\\n")[:2]])
+print(json.dumps(messages))
+"""
+
+
+def test_construction_checks_run_under_optimize():
+    out = _python("-O", "-c", CONSTRUCTION_CHECKS_UNDER_O)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [
+        ["DimensionMismatch", ["bracket index out of range: (0, 1, 5)"]],
+        ["ValueError", ["[e1, e1] must vanish"]],
+        ["ValueError", ["conflicting entries for (0, 1, 2)"]],
+        ["ValueError", ["antisymmetry violated at (0, 1, 2)"]],
+        ["NotClosed", ["[m10, m66] leaves the span: residual 1.556e+01"]],
+        ["AssertionError", ["rbar(x, y) is not skew"]],
+        ["AssertionError", ["rbar(x, y) as an endomorphism is not skew"]],
+        ["AssertionError", ["canonical curvature does not preserve tau: 3.464e+00"]],
+        ["NonInvariantForm", ["B is not invariant: residual 1.200e+01"]],
+        ["NonInvariantForm", ["B is degenerate on g"]],
+        ["IndefiniteMetric", ["B restricted to m is not positive definite"]],
+        ["DegenerateRestriction",
+         ["vector has non-positive B-norm 0.000e+00 during Gram-Schmidt"]],
+        ["AssertionError", ["Not equal to tolerance rtol=1e-07, atol=2e-09",
+                            "horizontal curvature wrong"]],
+    ]
