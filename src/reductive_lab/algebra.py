@@ -1,9 +1,9 @@
 """Numeric kernels shared by the geometric modules.
 
 Polynomials with trailing-zero trimming, the canonical splitting of a
-skew-symmetric operator into its kernel and invariant 2m-planes, and
-characteristic polynomials of small dense operators.  All arithmetic is
-double precision; exact rational input is converted once on entry.
+skew-symmetric operator into its kernel and invariant 2m-planes, and the
+matrix of a linear map on symmetric matrices.  All arithmetic is double
+precision; exact rational input is converted once on entry.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -25,7 +24,6 @@ __all__ = [
     "SkewSpectra",
     "skew_spectra",
     "skew_spectral_decomposition",
-    "characteristic_polynomial",
     "operator_on_symmetric",
 ]
 
@@ -57,13 +55,13 @@ class DegenerateSpectrum(ValueError):
 class Polynomial:
     """Real polynomial in one variable, coefficients ascending.
 
-    Trailing coefficients smaller than ``zero_tol`` are stripped, so the
+    Trailing coefficients of size at most ZERO_TOL are stripped, so the
     leading coefficient is nonzero unless the polynomial is zero.
     """
 
-    def __init__(self, coefficients, zero_tol: float = ZERO_TOL):
+    def __init__(self, coefficients):
         coeffs = list(np.atleast_1d(np.asarray(coefficients, dtype=float)))
-        while coeffs and abs(coeffs[-1]) <= zero_tol:
+        while coeffs and abs(coeffs[-1]) <= ZERO_TOL:
             coeffs.pop()
         self.coefficients = np.asarray(coeffs, dtype=float)
 
@@ -78,7 +76,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial([])
-        return Polynomial(npoly.polymul(self.coefficients, other.coefficients))
+        return Polynomial(np.convolve(self.coefficients, other.coefficients))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(self.coefficients),)
@@ -235,33 +233,6 @@ def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
         blocks.append(SkewBlock(sp.lams[0, k - 1], basis, a @ projection / sp.lams[0, k - 1],
                                 projection))
     return SkewSpectrum(vecs[:, labels == 0], blocks)
-
-
-def characteristic_polynomial(L) -> Polynomial:
-    """Monic characteristic polynomial det(tI - L) via Faddeev-LeVerrier.
-
-    The operator is normalized by its Frobenius norm first; dimensions here
-    stay small enough (<= a few dozen) for the recursion to be stable.
-    """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    if L.shape != (n, n):
-        raise AssertionError("characteristic polynomial of a non-square matrix")
-    scale = float(np.linalg.norm(L))
-    if scale == 0.0:
-        return Polynomial([0.0] * n + [1.0])
-    ls = L / scale
-    eye = np.eye(n)
-    m = eye.copy()
-    descending = [1.0]
-    for k in range(1, n + 1):
-        m = ls @ m
-        c = -np.trace(m) / k
-        descending.append(c)
-        m += c * eye
-    ascending = descending[::-1]
-    coeffs = [c * scale ** (n - i) for i, c in enumerate(ascending)]
-    return Polynomial(coeffs, zero_tol=0.0)
 
 
 def operator_on_symmetric(f, n: int) -> np.ndarray:

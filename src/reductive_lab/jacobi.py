@@ -7,8 +7,8 @@ symmetrized curvature derivatives R_k(X) = T_X^k R_0(X).  A linear Jacobi
 relation is a monic polynomial P with P(T_X) R_0(X) = 0 for all X; this
 module detects one, certifies minimality through the eigenspace components of
 R_0(X) along the skew spectrum of tau_X, computes the universal relation
-given by the characteristic polynomial of the restricted derivation, and
-checks the trace-free (twistor) consequences.
+(the characteristic polynomial of the restricted derivation) exactly from
+the spectrum of tau_X, and checks the trace-free (twistor) consequences.
 
 Relations are polynomial identities in X, so verification on a fixed-seed
 sample plan (pseudorandom unit vectors plus basis vectors and normalized
@@ -23,13 +23,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import (
-    Polynomial,
-    characteristic_polynomial,
-    check_close,
-    operator_on_symmetric,
-    skew_spectra,
-)
+from .algebra import Polynomial, check_close, skew_spectra
 from .reductive import (InfinitesimalModel, ReductiveTriple, _orthogonal_complement,
                         jacobi_operator, ricci)
 
@@ -409,24 +403,33 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
         if not distinct or v - distinct[-1] > CONSTANCY_TOL * v:
             distinct.append(v)
     eigen_structure["factors"] = distinct
-    q = Polynomial([1.0])
-    for v in distinct:
-        q = q * Polynomial([v, 0.0, 1.0])
+    q = _quadratic_product(0, distinct)
     ric = float(np.max(np.abs(ricci(family.model, np.eye(n)))))
     if ric < 1e-10 and q.degree >= 1:
         resid = check_ljr(family, q, samples=xs)
         if resid < residual_tol:
             return LjrVerdict(True, q, eigen_structure, resid)
-    p = Polynomial([0.0] + list(q.coefficients))
+    p = _quadratic_product(1, distinct)
     return LjrVerdict(True, p, eigen_structure, check_ljr(family, p, samples=xs))
 
 
-def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
-    """Characteristic polynomial of T_X on Sym^2 of the complement of X.
+def _quadratic_product(e: int, values) -> Polynomial:
+    """lambda^e prod_v (lambda^2 + v): the quadratics multiplied in the order
+    given, then the e zero coefficients prepended."""
+    q = Polynomial([1.0])
+    for v in values:
+        q = q * Polynomial([v, 0.0, 1.0])
+    return Polynomial(np.concatenate([np.zeros(e), q.coefficients]))
 
-    Degree is C(n, 2); odd coefficients vanish because the restriction is
-    skew in a metric it preserves.  Cayley-Hamilton makes the result a
-    relation annihilating R_0(X), which is verified before returning.
+
+def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
+    """Characteristic polynomial of T_X on Sym^2 of the complement of X, as
+    the exact product lambda^(m + odd) prod (lambda^2 + v) over the spectrum
+    +-mu_1..+-mu_m (and 0 when n - 1 is odd) of i tau_X on the complement:
+    v = (mu_j + mu_k)^2 / 4 (j <= k), (mu_j - mu_k)^2 / 4 (j < k) and, for
+    n - 1 odd, mu_j^2 / 4.  Degree C(n, 2); every coefficient is >= 0 and
+    the odd ones are 0.0.  Cayley-Hamilton makes it a relation annihilating
+    R_0(X), which is verified before returning.
     """
     x = np.asarray(x, dtype=float)
     if not np.linalg.norm(x) > 0:
@@ -434,8 +437,12 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
     n = family.n
     q = _orthogonal_complement(x[:, None])
     tau = q.T @ family.model.tau_matrix(x) @ q
-    mat = operator_on_symmetric(lambda s: 0.5 * (s @ tau - tau @ s), n - 1)
-    p = characteristic_polynomial(mat)
+    nu = np.linalg.eigvalsh(1j * tau)
+    m, odd = divmod(n - 1, 2)
+    mu = (nu[::-1][:m] - nu[:m]) / 2
+    j, k = np.triu_indices(m)
+    p = _quadratic_product(m + odd, np.concatenate(
+        [(mu[j] + mu[k]) ** 2, (mu[j] - mu[k])[j < k] ** 2, mu ** 2 if odd else []]) / 4)
     if p.degree != comb(n, 2):
         raise AssertionError("universal relation has degree %d, not C(%d, 2)" % (p.degree, n))
     residual = check_ljr(family, p, samples=x[None, :])

@@ -2,8 +2,8 @@
 
 The minimal polynomial of a skew operator relative to a vector, read off the
 blocks of its skew spectral decomposition, is checked against a Krylov-rank
-oracle, and the characteristic-polynomial tests against an eigenvalue oracle,
-both of which use routes independent of the implementation.
+oracle and an eigenvalue oracle, both of which use routes independent of the
+implementation.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from reductive_lab.algebra import (
     NotSkew,
     Polynomial,
     ZERO_TOL,
-    characteristic_polynomial,
     operator_on_symmetric,
     skew_spectral_decomposition,
 )
@@ -185,43 +184,6 @@ class TestMinimalPolynomialWrt:
         except DegenerateSpectrum:
             assume(False)
         assert divides(p, full_minimal_polynomial(a), tol=1e-6)
-
-
-class TestCharacteristicPolynomial:
-    def test_identity_r2(self):
-        p = characteristic_polynomial(np.eye(2))
-        np.testing.assert_allclose(p.coefficients, [1.0, -2.0, 1.0], atol=1e-14)
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_zero_operator(self, n):
-        p = characteristic_polynomial(np.zeros((n, n)))
-        expected = np.zeros(n + 1)
-        expected[-1] = 1.0
-        np.testing.assert_allclose(p.coefficients, expected)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_eigenvalue_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        l = rng.normal(size=(6, 6))
-        expected = np.real(np.poly(np.linalg.eigvals(l)))[::-1]
-        p = characteristic_polynomial(l)
-        np.testing.assert_allclose(p.coefficients, expected, atol=1e-8 * np.abs(expected).max())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cayley_hamilton(self, seed):
-        rng = np.random.default_rng(seed)
-        l = rng.normal(size=(5, 5)) / 2.0
-        p = characteristic_polynomial(l)
-        np.testing.assert_allclose(evaluate_polynomial_at_operator(p, l),
-                                   np.zeros((5, 5)), atol=1e-9)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_commutator_on_sym_has_even_char_poly(self, n):
-        a = random_skew(n, seed=n)
-        a /= np.linalg.norm(a, 2)
-        op = operator_on_symmetric(lambda s: a @ s - s @ a, n)
-        p = characteristic_polynomial(op)
-        assert np.max(np.abs(p.coefficients[-2::-2])) < 1e-10
 
 
 class TestEvaluateAtOperator:

@@ -295,6 +295,28 @@ class TestUniversalJr:
             assert p.degree == 10
             assert max(abs(a) for a in p.coefficients[1::2]) < 1e-10
 
+    @pytest.mark.parametrize("ident, scale", [
+        *(("heisenberg:n=%d,c=%s" % (n, c), 1.0) for n in (6, 7, 8) for c in ("1", "1.3")),
+        ("berger:n=7,s=1", 1.0), ("heisenberg:n=12,c=1", 1.0),
+        *((ident, s) for ident in ("heisenberg:n=4,c=1.3", "nk:flag") for s in (1e-6, 1e6)),
+    ])
+    def test_matches_determinant_oracle(self, ident, scale):
+        # p(t) = det(tI - L), L the matrix of T_X on Sym^2 of the complement
+        # of X; tI - L is normal with singular values >= t, so slogdet is
+        # accurate at every degree (up to C(25, 2) = 300 here)
+        model = catalog.rescale_model(entry(ident).build(), scale)
+        fam = JacobiFamily(model)
+        for x in unit_samples(model.n, 2, seed=11):
+            p = universal_jr(fam, x)
+            q = np.linalg.svd(x[None, :])[2][1:].T
+            tau = q.T @ model.tau_matrix(x) @ q
+            l = operator_on_symmetric(lambda s: 0.5 * (s @ tau - tau @ s), model.n - 1)
+            for t in np.array([0.3, 1.0, 2.0]) / np.sqrt(scale):
+                sign, logdet = np.linalg.slogdet(t * np.eye(len(l)) - l)
+                value = np.polynomial.polynomial.polyval(t, p.coefficients)
+                assert abs(value / (sign * np.exp(logdet)) - 1) <= 1e-10
+
+
 class TestIsotropyInvariance:
     def test_norm_is_invariant(self):
         trip = cp2_triple()
