@@ -111,10 +111,6 @@ class SkewSpectrum:
         return np.array([b.lam for b in self.blocks])
 
     @property
-    def projections(self):
-        return [b.projection for b in self.blocks]
-
-    @property
     def zero_projection(self) -> np.ndarray:
         return self.zero_space @ self.zero_space.T
 

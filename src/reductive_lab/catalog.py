@@ -28,7 +28,6 @@ from .reductive import (
     build_triple,
     extend_fibered,
     holomorphic_sectional,
-    jacobi_operator,
     scalar_curvature,
     sectional_curvature,
     to_model,
@@ -229,9 +228,8 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
 
 def _curvature_spread(model: InfinitesimalModel):
     """Spread and values of the sectional curvature on 24 fixed-seed
-    orthonormal pairs (x, y): x R_0(y) x."""
-    xs, ys = _orthonormal_pairs(model.n, 24, 0)
-    values = np.einsum("pa,pab,pb->p", xs, jacobi_operator(model, ys), xs)
+    orthonormal pairs."""
+    values = sectional_curvature(model, *_orthonormal_pairs(model.n, 24, 0))
     return float(values.max() - values.min()), values
 
 
@@ -288,9 +286,8 @@ def berger_consistency(n: int, s: float) -> dict:
     else:
         j = ext.tau_matrix(np.eye(ext.n)[-1])[: base_model.n, : base_model.n]
         j /= np.sqrt(c2)
-        hs = [holomorphic_sectional(base_model, j, x)
-              for x in np.eye(base_model.n)]
-        if not max(hs) - min(hs) < 1e-8 * abs(hs[0]):
+        hs = holomorphic_sectional(base_model, j, np.eye(base_model.n))
+        if not hs.max() - hs.min() < 1e-8 * abs(hs[0]):
             raise AssertionError("holomorphic sectional curvature of the base is not constant")
         kappa = float(np.mean(hs))
     return {"c2": c2, "r2": r2, "kappa": kappa,

@@ -126,8 +126,7 @@ def build_report(name, model, expected, samples, seed, tol, given=None):
     report = _envelope("minpoly" if given is None else "verify", seed,
                        {"constancy": CONSTANCY_TOL, "vanish": VANISH_TOL, "residual": tol,
                         **({"coefficient": COEFF_TOL} if compared else {})}, samples)
-    verdict = minimal_ljr(JacobiFamily(model), samples=samples, seed=seed,
-                          residual_tol=tol)
+    verdict = minimal_ljr(JacobiFamily(model), samples=samples, seed=seed)
     report["space"] = {"id": name, "dimension": model.n}
     report["scalar_curvature"] = _token(scalar_curvature(model))
     report["torsion_class"] = classify_gvcp(ThreeForm(model.tau), seed=seed)

@@ -24,8 +24,8 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import Polynomial, check_close, skew_spectra
-from .reductive import (InfinitesimalModel, ReductiveTriple, _orthogonal_complement,
-                        jacobi_operator, ricci)
+from .liealg import null_space
+from .reductive import InfinitesimalModel, ReductiveTriple, jacobi_operator
 
 __all__ = [
     "InsufficientSamples",
@@ -181,7 +181,11 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
             total += np.einsum("k,pkij->pij", a, ops)
             den += size @ np.abs(a)
         keep = den > 0
-        rel = np.linalg.norm(total[keep], axis=(1, 2)) / den[keep]
+        # both scaled by the power of two 2^-e with den = f 2^e, 1/2 <= f < 1:
+        # exact, and the squares in the norm cannot overflow
+        e = np.frexp(den[keep])[1]
+        rel = (np.linalg.norm(np.ldexp(total[keep], -e[:, None, None]), axis=(1, 2))
+               / np.ldexp(den[keep], -e))
         worst = max(worst, float(np.max(rel, initial=0.0)))
     return worst
 
@@ -299,8 +303,7 @@ def _detect_rows(family: JacobiFamily, xs):
     return status, groups
 
 
-def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
-                residual_tol: float = RESIDUAL_TOL) -> LjrVerdict:
+def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
     """Detect a linear Jacobi relation and assemble its minimal polynomial.
 
     Per accepted sample X the skew spectrum of tau_X splits R_0(X) into
@@ -308,10 +311,9 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
     uniformly or has its eigenvalue combination constant across samples.  The
     minimal polynomial is lambda times the least common multiple of
     lambda^2 + (lambda_l -+ lambda_k)^2/4 and lambda^2 + lambda_k^2/4 over
-    the non-vanishing components; the lambda factor is dropped only for
-    Ricci-flat models where the remainder already verifies.  Samples at
-    eigenvalue crossings are discarded and resampled; component verdicts are
-    cross-checked against the same split of the curvature term alone.
+    the non-vanishing components.  Samples at eigenvalue crossings are
+    discarded and resampled; component verdicts are cross-checked against
+    the same split of the curvature term alone.
 
     Samples are processed as stacks in rounds: first the plan, then the
     replacements drawn for the degenerate samples of the previous round, in
@@ -403,12 +405,6 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0,
         if not distinct or v - distinct[-1] > CONSTANCY_TOL * v:
             distinct.append(v)
     eigen_structure["factors"] = distinct
-    q = _quadratic_product(0, distinct)
-    ric = float(np.max(np.abs(ricci(family.model, np.eye(n)))))
-    if ric < 1e-10 and q.degree >= 1:
-        resid = check_ljr(family, q, samples=xs)
-        if resid < residual_tol:
-            return LjrVerdict(True, q, eigen_structure, resid)
     p = _quadratic_product(1, distinct)
     return LjrVerdict(True, p, eigen_structure, check_ljr(family, p, samples=xs))
 
@@ -435,7 +431,7 @@ def universal_jr(family: JacobiFamily, x, tol: float = 1e-7) -> Polynomial:
     if not np.linalg.norm(x) > 0:
         raise ValueError("the universal relation needs a nonzero X")
     n = family.n
-    q = _orthogonal_complement(x[:, None])
+    q = null_space(x[None, :])
     tau = q.T @ family.model.tau_matrix(x) @ q
     nu = np.linalg.eigvalsh(1j * tau)
     m, odd = divmod(n - 1, 2)

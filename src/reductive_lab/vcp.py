@@ -184,38 +184,41 @@ def fit_vcp_multiple(tau: ThreeForm, seed: int = 0):
 
 
 # --- the su(2) (+) C^2 model -------------------------------------------------
+# an element U + u is a row of a complex stack [U | u] (N, 2, 3)
 
-_PAULI = [
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-]
-
-
-def _su2(v) -> np.ndarray:
-    return 1.0j * sum(float(c) * p for c, p in zip(v, _PAULI))
+_PAULI = np.array([[[0.0, 1.0], [1.0, 0.0]],
+                   [[0.0, -1.0j], [1.0j, 0.0]],
+                   [[1.0, 0.0], [0.0, -1.0]]])
 
 
-def _su2_inner(a, b) -> float:
-    return float(np.real(-0.5 * np.trace(a @ b)))
+def _unit_su2(v) -> np.ndarray:
+    """i sum_c v_c sigma_c for every row v (N, 3), normalized."""
+    return 1.0j * np.einsum("pc,cij->pij", v / np.linalg.norm(v, axis=1)[:, None], _PAULI)
 
 
-def _star(a, b) -> np.ndarray:
-    # trace-free part of a b^H - b a^H inside u(2)
-    m = np.outer(a, b.conj()) - np.outer(b, a.conj())
-    return m + 1.0j * float(np.imag(np.vdot(a, b))) * np.eye(2)
+def _hermitian(a, b) -> np.ndarray:
+    """sum_i conj(a_i) b_i for every row pair of two stacks (N, 2)."""
+    return np.sum(a.conj() * b, axis=-1)
 
 
-def _residual_bracket(s: float, x, y):
-    (A, a), (B, b) = x, y
-    first = (1.0 - s) * (A @ B - B @ A) - _star(a, b) / (s + 1.0)
-    return first, A @ b - B @ a
+def _su2_inner(a, b) -> np.ndarray:
+    return np.real(-0.5 * np.trace(a @ b, axis1=-2, axis2=-1))
 
 
-def _pair_norm(x) -> float:
-    u, a = x
+def _residual_bracket(s: float, x, y) -> np.ndarray:
+    (A, a), (B, b) = (x[:, :, :2], x[:, :, 2]), (y[:, :, :2], y[:, :, 2])
+    # the trace-free part of a b^H - b a^H inside u(2)
+    star = a[:, :, None] * b.conj()[:, None, :] - b[:, :, None] * a.conj()[:, None, :]
+    star += 1.0j * np.imag(_hermitian(a, b))[:, None, None] * np.eye(2)
+    first = (1.0 - s) * (A @ B - B @ A) - star / (s + 1.0)
+    return np.dstack([first, np.einsum("pij,pj->pi", A, b) - np.einsum("pij,pj->pi", B, a)])
+
+
+def _worst_norm(x) -> float:
+    """Max over the rows of |U + u|, |U|^2 = -tr(U^2) / 2."""
+    u, a = x[:, :, :2], x[:, :, 2]
     # rounding can push a zero residual slightly negative
-    return float(np.sqrt(max(_su2_inner(u, u) + np.real(np.vdot(a, a)), 0.0)))
+    return float(np.max(np.sqrt(np.maximum(_su2_inner(u, u) + np.real(_hermitian(a, a)), 0.0))))
 
 
 def appendix_component_checks(s: float, seed: int = 0) -> dict:
@@ -225,56 +228,30 @@ def appendix_component_checks(s: float, seed: int = 0) -> dict:
     one-parameter family of reductive splittings; the candidate scale
     is always c^2 = s + 1.  Returns per-identity maxima over 24 random
     samples, together with the 2x2 matrix identity
-    AX + XA = tr(AX) id + tr(X) A used to derive them.
+    AX + XA = tr(AX) id + tr(X) A used to derive them.  The samples are
+    the rows of one (24, 22) normal draw: A (3), a (2 + 2i), B (3),
+    b (2 + 2i) and the complex 2x2 X (4 + 4i).
     """
     if abs(s) < 1e-12 or abs(s + 1.0) < 1e-12:
         raise InvalidS("the splitting degenerates at s in {0, -1}")
     c2 = s + 1.0
-    rng = np.random.default_rng(seed)
+    d = np.random.default_rng(seed).normal(size=(24, 22))
+    A, B = _unit_su2(d[:, 0:3]), _unit_su2(d[:, 7:10])
+    a, b = (d[:, i:i + 2] + 1.0j * d[:, i + 2:i + 4] for i in (3, 10))
+    a, b = (v / np.sqrt(np.real(_hermitian(v, v)))[:, None] for v in (a, b))
+    x = (d[:, 14:18] + 1.0j * d[:, 18:22]).reshape(-1, 2, 2)
 
-    def unit_su2():
-        v = rng.normal(size=3)
-        return _su2(v / np.linalg.norm(v))
+    def t(v, w):
+        return _residual_bracket(s, v, w)
 
-    def unit_c2():
-        a = rng.normal(size=2) + 1.0j * rng.normal(size=2)
-        return a / np.sqrt(np.real(np.vdot(a, a)))
-
-    worst = {"vcp1": 0.0, "vcp2": 0.0, "vcp3": 0.0, "matrix_identity": 0.0}
-    zero2 = np.zeros(2, dtype=complex)
-    for _ in range(24):
-        A, a = unit_su2(), unit_c2()
-        B, b = unit_su2(), unit_c2()
-
-        def t(v, w):
-            return _residual_bracket(s, v, w)
-
-        ea = (A, zero2)
-        lhs = t(ea, t(ea, (B, b)))
-        lhs = (c2 / (s + 1.0) * lhs[0], c2 / (s + 1.0) * lhs[1])
-        rhs = (_su2_inner(A, B) * A - _su2_inner(A, A) * B,
-               -_su2_inner(A, A) * b)
-        worst["vcp1"] = max(worst["vcp1"],
-                            _pair_norm((lhs[0] - rhs[0], lhs[1] - rhs[1])))
-
-        ev = (np.zeros((2, 2), dtype=complex), a)
-        lhs = t(ev, t(ev, (B, b)))
-        lhs = (c2 * lhs[0], c2 * lhs[1])
-        na = float(np.real(np.vdot(a, a)))
-        rhs = (-na * B, float(np.real(np.vdot(a, b))) * a - na * b)
-        worst["vcp2"] = max(worst["vcp2"],
-                            _pair_norm((lhs[0] - rhs[0], lhs[1] - rhs[1])))
-
-        mixed = t(ea, t(ev, (B, b)))
-        mixed2 = t(ev, t(ea, (B, b)))
-        lhs = (c2 * (mixed[0] + mixed2[0]), c2 * (mixed[1] + mixed2[1]))
-        rhs = (float(np.real(np.vdot(a, b))) * A,
-               (s + 1.0) * _su2_inner(A, B) * a)
-        worst["vcp3"] = max(worst["vcp3"],
-                            _pair_norm((lhs[0] - rhs[0], lhs[1] - rhs[1])))
-
-        x = rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))
-        ident = A @ x + x @ A - np.trace(A @ x) * np.eye(2) - np.trace(x) * A
-        worst["matrix_identity"] = max(worst["matrix_identity"],
-                                       float(np.abs(ident).max()))
-    return worst
+    ea, ev = np.dstack([A, np.zeros_like(a)]), np.dstack([np.zeros_like(A), a])
+    y = np.dstack([B, b])
+    ab, aa = (_su2_inner(A, v)[:, None, None] for v in (B, A))
+    re_ab, na = (np.real(_hermitian(a, v))[:, None, None] for v in (b, a))
+    ident = (A @ x + x @ A - np.trace(A @ x, axis1=1, axis2=2)[:, None, None] * np.eye(2)
+             - np.trace(x, axis1=1, axis2=2)[:, None, None] * A)
+    return {"vcp1": _worst_norm(t(ea, t(ea, y)) - (ab * ea - aa * y)),
+            "vcp2": _worst_norm(c2 * t(ev, t(ev, y)) - (re_ab * ev - na * y)),
+            "vcp3": _worst_norm(c2 * (t(ea, t(ev, y)) + t(ev, t(ea, y)))
+                                - (re_ab * ea + c2 * ab * ev)),
+            "matrix_identity": float(np.abs(ident).max())}

@@ -58,6 +58,18 @@ def standard_j(n) -> np.ndarray:
     return j
 
 
+def fubini_study_rbar(n, kappa, j):
+    """Constant-holomorphic-curvature tensor, R(u,v)w indexed [u,v,a,b]."""
+    eye = np.eye(n)
+    return (kappa / 4.0) * (
+        np.einsum("vb,ua->uvab", eye, eye)
+        - np.einsum("ub,va->uvab", eye, eye)
+        + np.einsum("bv,au->uvab", j, j)
+        - np.einsum("bu,av->uvab", j, j)
+        - 2.0 * np.einsum("vu,ab->uvab", j, j)
+    )
+
+
 def round_three_sphere():
     """su(2) with B = -tr/2 of the defining rep: the unit round S^3."""
     g = su(2)

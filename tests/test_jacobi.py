@@ -560,6 +560,13 @@ class TestScaleFreeResidual:
         assert p.degree == (2 * n + 1) * n
         assert check_ljr(family, p, samples=x[None, :]) < 1e-12
 
+    @pytest.mark.parametrize("t", [1e-10, 1e-12, 1e-14])
+    def test_universal_relation_at_small_scale_does_not_overflow(self, t):
+        # the terms and sizes of degree 36 reach 1e200 and more: their
+        # squares overflowed in the norm, and the residual read inf
+        model = catalog.rescale_model(entry("heisenberg:n=4,c=1.3").build(), t)
+        assert universal_jr(JacobiFamily(model), sample_vectors(9, 1)[0]).degree == 36
+
     @pytest.mark.parametrize("name, turn", [("nk:flag", False), ("np:v3", False), ("np:v1", True)])
     def test_small_scale_models_build_and_stack(self, fixed_models, name, turn):
         model = fixed_models[name]

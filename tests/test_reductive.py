@@ -9,9 +9,9 @@ curvature +1) and the Heisenberg group (sectional curvatures -3c^2/4, c^2/4,
 import numpy as np
 import pytest
 from conftest import (SU3_H0, SU3_H1, SU3_X01, SU3_X02, SU3_Y01, cp2_triple,
-                      heisenberg_closed_form, heisenberg_transvection,
-                      minus_half_trace, round_three_sphere, standard_j,
-                      unit_samples)
+                      fubini_study_rbar, heisenberg_closed_form,
+                      heisenberg_transvection, minus_half_trace,
+                      round_three_sphere, standard_j, unit_samples)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,18 +51,6 @@ def normal_sectional_cross_check(triple, x, y):
     h_part = triple.h_component(v)
     tau_xy = triple.m_component(v)  # = -tau(x,y), sign squares away
     return float(triple.B(h_part, h_part) + 0.25 * (tau_xy @ tau_xy))
-
-
-def fubini_study_rbar(n, kappa, j):
-    """Constant-holomorphic-curvature tensor, R(u,v)w indexed [u,v,a,b]."""
-    eye = np.eye(n)
-    return (kappa / 4.0) * (
-        np.einsum("vb,ua->uvab", eye, eye)
-        - np.einsum("ub,va->uvab", eye, eye)
-        + np.einsum("bv,au->uvab", j, j)
-        - np.einsum("bu,av->uvab", j, j)
-        - 2.0 * np.einsum("vu,ab->uvab", j, j)
-    )
 
 
 class TestRoundSphereOracle:
