@@ -1,9 +1,10 @@
 """Numeric kernels shared by the geometric modules.
 
 Polynomials with trailing-zero trimming, the canonical splitting of a
-skew-symmetric operator into its kernel and invariant 2m-planes, and the
-matrix of a linear map on symmetric matrices.  All arithmetic is double
-precision; exact rational input is converted once on entry.
+skew-symmetric operator into its kernel and invariant 2m-planes, the
+matrix of a linear map on symmetric matrices, and the fixed-seed unit
+samples that the checks draw.  All arithmetic is double precision; exact
+rational input is converted once on entry.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "skew_spectra",
     "skew_spectral_decomposition",
     "operator_on_symmetric",
+    "orthonormal_pairs",
+    "unit_rows",
 ]
 
 RESIDUAL_TOL = 1e-8
@@ -41,6 +44,21 @@ def check_close(actual, desired, atol: float, err_msg: str = "") -> None:
         raise AssertionError("Not equal to tolerance rtol=1e-07, atol=%g\n%s\n"
                              "Max absolute difference: %.3g"
                              % (atol, err_msg, float(np.max(diff))))
+
+
+def unit_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """(count, n) fixed-seed unit rows: one normal draw, each row normalized."""
+    xs = np.random.default_rng(seed).normal(size=(count, n))
+    return xs / np.linalg.norm(xs, axis=1)[:, None]
+
+
+def orthonormal_pairs(n: int, count: int, seed: int):
+    """Stacks xs, ys (count, n) of fixed-seed orthonormal pairs: unit x, and
+    y orthogonalized against x and normalized, from one (count, 2, n) draw."""
+    xs, ys = np.random.default_rng(seed).normal(size=(count, 2, n)).transpose(1, 0, 2)
+    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    ys = ys - np.sum(ys * xs, axis=1)[:, None] * xs
+    return xs, ys / np.linalg.norm(ys, axis=1)[:, None]
 
 
 class NotSkew(ValueError):

@@ -9,7 +9,7 @@ are the stable CLI names, e.g. ``nk:flag`` or ``berger:n=2,s=1``.
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import Polynomial, orthonormal_pairs
 from .liealg import (
     BilinearForm,
     LieAlgebra,
@@ -32,7 +32,7 @@ from .reductive import (
     sectional_curvature,
     to_model,
 )
-from .vcp import InvalidS, _orthonormal_pairs, g2_sigma
+from .vcp import InvalidS, g2_sigma
 
 __all__ = [
     "CatalogEntry",
@@ -44,9 +44,6 @@ __all__ = [
     "flag_manifold",
     "heisenberg_model",
     "killing_multiple",
-    "nearly_kaehler_spaces",
-    "nearly_parallel_g2_spaces",
-    "negative_cases",
     "quaternionic_hopf",
     "rescale_model",
     "rescaled_to_scalar",
@@ -126,6 +123,14 @@ def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
     return InfinitesimalModel(tau, stored.transpose(3, 0, 2, 1))
 
 
+def _su3_su2_u2():
+    """su(3)+su(2) and the columns of its diagonal u(2): traceless A paired
+    with itself, the center paired with 0."""
+    g = direct_sum(su(3), su(2))
+    e = np.eye(g.dim)
+    return g, np.column_stack([e[0] + e[8], e[1] + e[9], e[6] + e[10], e[6] + 2 * e[7]])
+
+
 def aloff_wallach_n11(s: float) -> InfinitesimalModel:
     """One-parameter family on su(3)+su(2) with u(2) isotropy.
 
@@ -134,10 +139,8 @@ def aloff_wallach_n11(s: float) -> InfinitesimalModel:
     """
     if s in (0.0, -1.0):
         raise InvalidS("s = %g degenerates the family" % s)
-    g = direct_sum(su(3), su(2))
+    g, h = _su3_su2_u2()
     e = np.eye(g.dim)
-    # u(2) diagonal: traceless A paired with itself, the center paired with 0
-    h = np.column_stack([e[0] + e[8], e[1] + e[9], e[6] + e[10], e[6] + 2 * e[7]])
     gram = _matrix_gram(g)
     b = np.zeros((g.dim, g.dim))
     b[:8, :8] = -0.25 * gram[:8, :8]
@@ -179,20 +182,16 @@ def _su_hyperbolic(n: int) -> LieAlgebra:
     return from_matrix_algebra(su_generators(n, d) + [realify(m) for m in mats])
 
 
-def _berger_pieces(n: int, kappa: int):
-    """(g, isotropy columns of the base, normal-subalgebra columns, form)."""
+def _berger_base(n: int, kappa: int):
+    """(normal base triple on g/u(n), columns of the normal su(n) in u(n))."""
     if kappa > 0:
         g = su(n + 1)
-        form = trace_multiple(g, -0.25)
         center = 1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)
         k = _coords(g, su_generators(n, n + 1) + [realify(center)])
-        return g, k, k[:, :-1], form
+        return build_triple(g, k, trace_multiple(g, -0.25)), k[:, :-1]
     g = _su_hyperbolic(n)
-    form = trace_multiple(g, 0.25)
-    e = np.eye(g.dim)
-    h = e[:, : n * n - 1]
-    k = e[:, : n * n]
-    return g, k, h, form
+    k = np.eye(g.dim)[:, : n * n]
+    return build_triple(g, k, trace_multiple(g, 0.25)), k[:, :-1]
 
 
 def berger_total_space(n: int, s: float, kappa: int = 1) -> ReductiveTriple:
@@ -204,8 +203,7 @@ def berger_total_space(n: int, s: float, kappa: int = 1) -> ReductiveTriple:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g, k_cols, h_cols, form = _berger_pieces(n, kappa)
-    base = build_triple(g, k_cols, form)
+    base, h_cols = _berger_base(n, kappa)
     return extend_fibered(base, h_cols, s)
 
 
@@ -229,7 +227,7 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
 def _curvature_spread(model: InfinitesimalModel):
     """Spread and values of the sectional curvature on 24 fixed-seed
     orthonormal pairs."""
-    values = sectional_curvature(model, *_orthonormal_pairs(model.n, 24, 0))
+    values = sectional_curvature(model, *orthonormal_pairs(model.n, 24, 0))
     return float(values.max() - values.min()), values
 
 
@@ -267,13 +265,11 @@ def berger_consistency(n: int, s: float) -> dict:
     4 c^2 = r^2 kappa^2.
     """
     star = -0.5 * (n - 1) / n
-    g, k_cols, h_cols, form = _berger_pieces(n, 1)
-    base = build_triple(g, k_cols, form)
+    base, h_cols = _berger_base(n, 1)
     ext = _model_of(extend_fibered(base, h_cols, s))
     c2 = torsion_block_eigenvalue(ext)
 
-    round_model = _model_of(extend_fibered(base, h_cols, star)
-                            if star != 0.0 else build_triple(g, h_cols, form))
+    round_model = _model_of(extend_fibered(base, h_cols, star))
     spread, values = _curvature_spread(round_model)
     if not spread < 1e-8 * max(1.0, abs(values[0])):
         raise AssertionError("the round member is not round: spread %.3e" % spread)
@@ -404,9 +400,7 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
 def v3_space(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     """su(3)+su(2) modulo the diagonal u(2); same isotropy columns as the
     Aloff-Wallach family, the form a Killing multiple."""
-    g = direct_sum(su(3), su(2))
-    e = np.eye(g.dim)
-    h = np.column_stack([e[0] + e[8], e[1] + e[9], e[6] + e[10], e[6] + 2 * e[7]])
+    g, h = _su3_su2_u2()
     return build_triple(g, h, killing_multiple(g, form_scale))
 
 
@@ -452,17 +446,17 @@ def rescaled_to_scalar(model: InfinitesimalModel, target: float) -> Infinitesima
 
 
 class CatalogEntry:
-    """Registry row: identifier, constructor, parameters, expected relation."""
+    """Registry row: identifier, zero-argument constructor, expected
+    relation and note."""
 
-    def __init__(self, name, builder, params=None, expected=None, note=""):
+    def __init__(self, name, builder, expected, note):
         self.name = name
-        self.params = dict(params or {})
         self.expected = expected
         self.note = note
         self._builder = builder
 
     def build(self) -> InfinitesimalModel:
-        built = self._builder(**self.params)
+        built = self._builder()
         return _model_of(built) if isinstance(built, ReductiveTriple) else built
 
     def __repr__(self):
@@ -471,95 +465,66 @@ class CatalogEntry:
 
 _POL_ORDER4 = Polynomial([0.0, 0.25, 0.0, 1.25, 0.0, 1.0])
 _POL_LINEAR = Polynomial([0.0, 1.0])
+_NK_NOTE = "order-4 relation with coefficients 5/4 and 1/4 at scal = 30"
 
+# fixed ids: {id: (builder, expected polynomial, note)}
+_FIXED = {
+    "nk:flag": (flag_manifold, _POL_ORDER4, _NK_NOTE),
+    "nk:s3xs3": (s3_x_s3, _POL_ORDER4, _NK_NOTE),
+    "nk:cp3": (cp3_twistor, _POL_ORDER4, _NK_NOTE),
+    "nk:s6": (s6_round, _POL_LINEAR,
+              "constant sectional curvature; the relation degenerates to the symmetric one"),
+    "np:spin7-g2": (spin7_sphere, _POL_LINEAR, "round sphere; the order-2 family relation "
+                    "lambda^3 + lambda/36 still annihilates"),
+    "np:squashed-s7": (squashed_s7, Polynomial([0.0, 1.0 / 36.0, 0.0, 1.0]),
+                       "scal = 21/8 at the -6/5 Killing form"),
+    "np:v1": (v1_space, Polynomial([0.0, 1.0, 0.0, 1.0]),
+              "irreducible su(2) isotropy, -1/30 Killing form"),
+    "np:v3": (v3_space, Polynomial([0.0, 0.4, 0.0, 1.0]),
+              "diagonal u(2) isotropy, -1/12 Killing form"),
+    "neg:su4-su3": (su4_sphere, None, "relation exists but its coefficient is not 2 scal / 189"),
+    "neg:sp2-sp1": (sp2_sp1_sphere, None, "no linear relation; kept as the negative control"),
+}
 
-def nearly_kaehler_spaces() -> list:
-    """Six-dimensional strict nearly Kaehler presets at the scal = 30 form."""
-    note = "order-4 relation with coefficients 5/4 and 1/4 at scal = 30"
-    return [
-        CatalogEntry("nk:flag", flag_manifold, expected=_POL_ORDER4, note=note),
-        CatalogEntry("nk:s3xs3", s3_x_s3, expected=_POL_ORDER4, note=note),
-        CatalogEntry("nk:cp3", cp3_twistor, expected=_POL_ORDER4, note=note),
-        CatalogEntry("nk:s6", s6_round, expected=_POL_LINEAR,
-                     note="constant sectional curvature; the relation "
-                          "degenerates to the symmetric one"),
-    ]
-
-
-def nearly_parallel_g2_spaces() -> list:
-    """Seven-dimensional nearly parallel presets at their standard forms."""
-    return [
-        CatalogEntry("np:spin7-g2", spin7_sphere, expected=_POL_LINEAR,
-                     note="round sphere; the order-2 family relation "
-                          "lambda^3 + lambda/36 still annihilates"),
-        CatalogEntry("np:squashed-s7", squashed_s7,
-                     expected=Polynomial([0.0, 1.0 / 36.0, 0.0, 1.0]),
-                     note="scal = 21/8 at the -6/5 Killing form"),
-        CatalogEntry("np:v1", v1_space,
-                     expected=Polynomial([0.0, 1.0, 0.0, 1.0]),
-                     note="irreducible su(2) isotropy, -1/30 Killing form"),
-        CatalogEntry("np:v3", v3_space,
-                     expected=Polynomial([0.0, 0.4, 0.0, 1.0]),
-                     note="diagonal u(2) isotropy, -1/12 Killing form"),
-    ]
-
-
-def negative_cases() -> list:
-    """Seven-spheres whose normal structures fall outside the family law."""
-    return [
-        CatalogEntry("neg:su4-su3", su4_sphere,
-                     note="relation exists but its coefficient is not "
-                          "2 scal / 189"),
-        CatalogEntry("neg:sp2-sp1", sp2_sp1_sphere,
-                     note="no linear relation; kept as the negative control"),
-    ]
-
-
-def _parametric(name, kind, kv):
-    if kind == "berger":
-        params = {"n": int(kv["n"]), "s": float(kv["s"])}
-        if "kappa" in kv:
-            params["kappa"] = int(kv["kappa"])
-        return CatalogEntry(name, berger_total_space, params,
-                            note="fiber over the projective base; relation "
-                                 "lambda (lambda^2 + c^2) with c^2 read off "
-                                 "the torsion")
-    if kind == "heisenberg":
-        return CatalogEntry(name, heisenberg_model,
-                            {"n": int(kv["n"]), "c": float(kv["c"])},
-                            note="relation lambda (lambda^2 + c^2)")
-    if kind == "aw":
-        return CatalogEntry(name, aloff_wallach_n11, {"s": float(kv["s"])},
-                            note="splitting-family member; a cross product "
-                                 "multiple only at s = 3/2")
-    raise KeyError(name)
+# parametric kinds: {kind: (builder, lead token, {parameter: (type, required)}, note)}
+_PARAMETRIC = {
+    "berger": (berger_total_space, None,
+               {"n": (int, True), "s": (float, True), "kappa": (int, False)},
+               "fiber over the projective base; relation lambda (lambda^2 + c^2) "
+               "with c^2 read off the torsion"),
+    "heisenberg": (heisenberg_model, None, {"n": (int, True), "c": (float, True)},
+                   "relation lambda (lambda^2 + c^2)"),
+    "aw": (aloff_wallach_n11, "n11", {"s": (float, True)},
+           "splitting-family member; a cross product multiple only at s = 3/2"),
+}
 
 
 def entries() -> list:
-    """The full registry: fixed presets plus parametric representatives."""
-    out = [
-        _parametric("berger:n=2,s=1", "berger", {"n": "2", "s": "1"}),
-        _parametric("heisenberg:n=2,c=1", "heisenberg", {"n": "2", "c": "1"}),
-        _parametric("aw:n11,s=1.5", "aw", {"s": "1.5"}),
-    ]
-    out += nearly_kaehler_spaces()
-    out += nearly_parallel_g2_spaces()
-    out += negative_cases()
-    return out
+    """The full registry: the parametric representatives, then the fixed ids."""
+    return [entry(name) for name in ("berger:n=2,s=1", "heisenberg:n=2,c=1", "aw:n11,s=1.5",
+                                     *_FIXED)]
 
 
 def entry(name: str) -> CatalogEntry:
-    """Resolve a registry identifier, parsing parametric forms like
-    berger:n=2,s=-0.25,kappa=1 or heisenberg:n=3,c=2."""
-    for fixed in entries():
-        if fixed.name == name:
-            return fixed
+    """Resolve a registry identifier: a fixed id, or a kind, its lead token
+    if any, and its declared parameters, each at most once, the required
+    ones present, finite and of the declared type, kappa 1 or -1, e.g.
+    berger:n=2,s=-0.25,kappa=1 or aw:n11,s=1.5; else raise KeyError."""
+    if name in _FIXED:
+        builder, expected, note = _FIXED[name]
+        return CatalogEntry(name, builder, expected, note)
     kind, _, rest = name.partition(":")
-    parts = [p for p in rest.split(",") if p]
-    kv = dict(p.split("=", 1) for p in parts if "=" in p)
-    if kind == "aw" and (not parts or parts[0] != "n11"):
-        raise KeyError(name)
     try:
-        return _parametric(name, kind, kv)
+        builder, lead, declared, note = _PARAMETRIC[kind]
+        parts = rest.split(",")
+        if lead is not None and parts.pop(0) != lead:
+            raise ValueError
+        pairs = [part.split("=") for part in parts]
+        params = {key: declared[key][0](text) for key, text in pairs}
+        if (len(params) < len(pairs) or not all(abs(v) < np.inf for v in params.values())
+                or any(required and key not in params for key, (_, required) in declared.items())
+                or params.get("kappa", 1) not in (1, -1)):
+            raise ValueError
     except (KeyError, ValueError):
         raise KeyError("unknown catalog entry %r" % name)
+    return CatalogEntry(name, lambda: builder(**params), None, note)

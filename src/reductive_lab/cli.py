@@ -16,11 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import RESIDUAL_TOL, Polynomial
 from .catalog import aloff_wallach_n11, entries, entry
 from .jacobi import (
     CONSTANCY_TOL,
-    RESIDUAL_TOL,
     VANISH_TOL,
     JacobiFamily,
     check_ljr,

@@ -23,7 +23,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import Polynomial, check_close, skew_spectra
+from .algebra import Polynomial, check_close, skew_spectra, unit_rows
 from .liealg import null_space
 from .reductive import InfinitesimalModel, ReductiveTriple, jacobi_operator
 
@@ -45,7 +45,6 @@ __all__ = [
 
 CONSTANCY_TOL = 1e-6
 VANISH_TOL = 1e-7
-RESIDUAL_TOL = 1e-8
 SAMPLE_FLOOR = 8
 
 
@@ -60,11 +59,9 @@ class PolarizationRankDeficient(ValueError):
 def sample_vectors(n: int, count: int = 64, seed: int = 0) -> np.ndarray:
     """Unit sample plan: `count` fixed-seed unit vectors, the basis vectors,
     and all normalized pairwise basis sums."""
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(count, n))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
     i, j = np.triu_indices(n, 1)
-    return np.vstack([xs, np.eye(n), (np.eye(n)[i] + np.eye(n)[j]) / np.sqrt(2.0)])
+    pairs = (np.eye(n)[i] + np.eye(n)[j]) / np.sqrt(2.0)
+    return np.vstack([unit_rows(n, count, seed), np.eye(n), pairs])
 
 
 def t_apply(model: InfinitesimalModel, x, s) -> np.ndarray:
@@ -625,20 +622,16 @@ def _compressed_tensor(family: JacobiFamily, d: int, seed: int):
     """Compressed coordinates of the full symmetric tensor of R_(d+1), from
     its monomial coefficients: entry (alpha, ij) is c[alpha]_ij w(ij) /
     w(alpha).  Raises PolarizationRankDeficient when sum_alpha c[alpha]
-    x^alpha fails to reproduce family.operators at four random unit X."""
+    x^alpha fails to reproduce family.stack at four fixed-seed unit X."""
     n = family.n
     c = _coefficients(family.model, d + 1)
     alphas = _msets(n, d + 3)
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        diag = np.einsum("a,aij->ij", np.prod(x[alphas], axis=1), c)
-        direct = family.operators(x, d + 1)[d + 1]
-        scale = max(1.0, float(np.linalg.norm(direct)))
-        if float(np.linalg.norm(diag - direct)) > 1e-8 * scale:
-            raise PolarizationRankDeficient(
-                "tensor coefficients do not reproduce diagonal values")
+    xs = unit_rows(n, 4, seed)
+    diag = np.einsum("pa,aij->pij", np.prod(xs[:, alphas], axis=2), c)
+    direct = family.stack(xs, d + 1)[:, d + 1]
+    scale = np.maximum(1.0, np.linalg.norm(direct, axis=(1, 2)))
+    if np.any(np.linalg.norm(diag - direct, axis=(1, 2)) > 1e-8 * scale):
+        raise PolarizationRankDeficient("tensor coefficients do not reproduce diagonal values")
 
     i, j = _msets(n, 2).T
     return (c[:, i, j] * np.outer(1.0 / _weights(n, d + 3), _weights(n, 2))).reshape(-1)
@@ -652,7 +645,8 @@ def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
         raise ValueError("twistor degree d must be in 0..5, got d = %d" % d)
     vec = _compressed_tensor(family, d, seed)
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
+    # R_(d+1) scales as k^((d+3)/2) in the curvature scale k of the model
+    if norm <= 1e-12 * family.model.curvature_scale ** ((d + 3) / 2):
         return 0.0
     out = _project_traces(family.n, d + 1, vec)
     return float(np.linalg.norm(out)) / norm

@@ -172,14 +172,16 @@ class InfinitesimalModel:
         self.check()
 
     def check(self) -> None:
-        """tau and rbar are skew in each slot pair, up to 1e-10 max|tensor|.
+        """tau and rbar are skew in each slot pair, up to 1e-10 max|tensor|,
+        and curvature_scale = max(max|tau|^2, max|rbar|) is stored.
 
         rbar is read from the stored matrix in slabs of at most
         _SLAB_DOUBLES entries, so that each slot swap stays in cache."""
         t, n = self.tau, self.n
+        tau_max = np.max(np.abs(t), initial=0.0)
         for name, skew in (("tau(x, y)", t + t.transpose(1, 0, 2)),
                            ("tau(x, ., .)", t + t.transpose(0, 2, 1))):
-            if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * np.max(np.abs(t), initial=0.0):
+            if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * tau_max:
                 raise AssertionError("%s is not skew" % name)
         c = self._curvature.reshape(n, n, n, n)  # c[j, b, a, u] = rbar[u, j, a, b]
         step = max(1, _SLAB_DOUBLES // n ** 3)
@@ -191,10 +193,11 @@ class InfinitesimalModel:
         # the one n^4 temporary: freeing it raises glibc's dynamic mmap and trim
         # thresholds, so later MB-sized temporaries (relation detection) reuse
         # heap pages instead of faulting in fresh ones
-        bound = 1e-10 * np.max(np.abs(self._curvature), initial=0.0)
+        rbar_max = np.max(np.abs(self._curvature), initial=0.0)
         for name, worst in (("rbar(x, y)", pair), ("rbar(x, y) as an endomorphism", endo)):
-            if not np.max(worst) <= bound:
+            if not np.max(worst) <= 1e-10 * rbar_max:
                 raise AssertionError("%s is not skew" % name)
+        self.curvature_scale = max(tau_max ** 2, rbar_max)
 
     def tau_matrix(self, x) -> np.ndarray:
         """The skew endomorphism tau_X, metric-dual of tau(X, ., .), for one
@@ -243,11 +246,9 @@ def to_model(triple: ReductiveTriple) -> InfinitesimalModel:
     model = InfinitesimalModel(tau, rbar.reshape(n, n, n, n))
     model.triple = triple
     residual = model.holonomy_residual()
-    # relative to the curvature scale k = max(|tau|^2, |rbar|): the residual
-    # scales as k^(3/2) under a scaled form, and tau may be rounding noise
-    scale = max(np.max(np.abs(model.tau), initial=0.0) ** 2,
-                np.max(np.abs(model._curvature), initial=0.0)) ** 1.5
-    if not residual <= 1e-9 * scale:
+    # relative to the curvature scale: the residual scales as its 3/2 power
+    # under a scaled form, and tau may be rounding noise
+    if not residual <= 1e-9 * model.curvature_scale ** 1.5:
         raise AssertionError("canonical curvature does not preserve tau: %.3e" % residual)
     return model
 

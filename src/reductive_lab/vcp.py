@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from .algebra import orthonormal_pairs, unit_rows
+
 __all__ = [
     "ThreeForm", "InvalidS",
     "VOLUME_TYPE3", "G2_TYPE7", "SU3_TYPE6", "NOT_GVCP",
@@ -108,21 +110,12 @@ def su3_tau() -> ThreeForm:
     })
 
 
-def _orthonormal_pairs(n: int, count: int, seed: int):
-    """Stacks xs, ys (count, n) of fixed-seed orthonormal pairs: unit x, and
-    y orthogonalized against x and normalized, from one (count, 2, n) draw."""
-    xs, ys = np.random.default_rng(seed).normal(size=(count, 2, n)).transpose(1, 0, 2)
-    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
-    ys = ys - np.sum(ys * xs, axis=1)[:, None] * xs
-    return xs, ys / np.linalg.norm(ys, axis=1)[:, None]
-
-
 def is_vcp(sigma: ThreeForm, seed: int = 0):
     """Test |sigma_X Y|^2 = 1 on 48 orthonormal pairs.
 
     Returns (verdict, max deviation).
     """
-    v = sigma.apply(*_orthonormal_pairs(sigma.n, 48, seed))
+    v = sigma.apply(*orthonormal_pairs(sigma.n, 48, seed))
     worst = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
     return worst < SPECTRUM_TOL, worst
 
@@ -134,8 +127,7 @@ def is_gvcp(tau: ThreeForm, seed: int = 0):
     """
     if tau.norm() < 1e-14:
         return None
-    xs = np.random.default_rng(seed).normal(size=(48, tau.n))
-    m = tau.matrix(xs / np.linalg.norm(xs, axis=1)[:, None])
+    m = tau.matrix(unit_rows(tau.n, 48, seed))
     specs = np.linalg.eigvalsh(-(m @ m))  # ascending per row
     mean = specs.mean(axis=0)
     scale = max(float(specs.max()), 1e-300)
@@ -174,7 +166,7 @@ def fit_vcp_multiple(tau: ThreeForm, seed: int = 0):
     """
     if tau.n not in (3, 7):
         raise AssertionError("vector cross products exist in dimension 3 and 7, not %d" % tau.n)
-    norms = np.linalg.norm(tau.apply(*_orthonormal_pairs(tau.n, 48, seed)), axis=1)
+    norms = np.linalg.norm(tau.apply(*orthonormal_pairs(tau.n, 48, seed)), axis=1)
     med = float(np.median(norms))
     if med < 1e-12:
         return None

@@ -475,10 +475,27 @@ class TestRegistry:
         assert catalog.entry(name).build().n == dim
 
     @pytest.mark.parametrize("name", [
-        "bogus", "aw:n21,s=1", "berger:n=2", "heisenberg:n=2", "nk:missing"])
+        "bogus", "aw:n21,s=1", "berger:n=2", "heisenberg:n=2", "nk:missing",
+        # kappa other than 1 or -1, a repeated, an undeclared or an empty
+        # parameter, a non-finite value
+        "berger:n=2,s=-1.5,kappa=0", "berger:n=2,s=1,kappa=7", "berger:n=2,s=1,n=3",
+        "aw:n11,s=1.5,s=2", "heisenberg:n=2,c=1,kappa=-1", "aw:n11,s=1.5,c=9",
+        "berger:n=2,,s=1", "berger:n=2,s=nan", "aw:n11,s=nan", "heisenberg:n=2,c=nan",
+        "heisenberg:n=2,c=inf"])
     def test_unknown_identifiers(self, name):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown catalog entry"):
             catalog.entry(name)
+
+    # the id shapes of the benchmark workloads and the golden reports
+    @pytest.mark.parametrize("spelling,build,args", [
+        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_total_space, (2, 0.6180339887498949, 1)),
+        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_total_space, (3, -1.5, -1)),
+        ("heisenberg:n=%d,c=%r", catalog.heisenberg_model, (3, 0.6039)),
+        ("aw:n11,s=%r", catalog.aloff_wallach_n11, (0.7320508075688772,)),
+    ])
+    def test_ids_build_the_builders_model_bit_for_bit(self, spelling, build, args):
+        got, want = catalog.entry(spelling % args).build(), model_of(build(*args))
+        assert np.array_equal(got.tau, want.tau) and np.array_equal(got.rbar, want.rbar)
 
 
 def test_coords_solve_all_columns_and_reject_one_outside_the_algebra():

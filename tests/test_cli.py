@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from reductive_lab import cli
-from reductive_lab.algebra import Polynomial
+from reductive_lab.algebra import RESIDUAL_TOL, Polynomial
 from reductive_lab.catalog import entries, entry
-from reductive_lab.jacobi import CONSTANCY_TOL, RESIDUAL_TOL, VANISH_TOL
+from reductive_lab.jacobi import CONSTANCY_TOL, VANISH_TOL
 from reductive_lab.vcp import SPECTRUM_TOL
 
 OSCILLATOR = {
@@ -354,6 +354,18 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"]["type"] == "KeyError"
         assert "nk:bogus" in payload["error"]["message"]
+
+    # one id per malformed-parameter kind: kappa other than 1 or -1, a
+    # repeated, an undeclared or an empty parameter, a non-finite value
+    @pytest.mark.parametrize("ident", [
+        "berger:n=2,s=-1.5,kappa=0", "berger:n=2,s=1,n=3", "heisenberg:n=2,c=1,kappa=-1",
+        "berger:n=2,,s=1", "berger:n=2,s=nan"])
+    def test_malformed_parameters(self, capsys, ident):
+        code, _, err = run(capsys, "minpoly", ident, "--json")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "KeyError"
+        assert ident in payload["error"]["message"]
 
 
 def test_console_script():

@@ -16,7 +16,7 @@ import pytest
 from conftest import minus_half_trace, reference_holonomy_residual
 
 from reductive_lab import catalog
-from reductive_lab.catalog import (_berger_pieces, _model_of, entries, entry, flag_manifold,
+from reductive_lab.catalog import (_berger_base, _model_of, entries, entry, flag_manifold,
                                    heisenberg_model, rescale_model)
 from reductive_lab.liealg import (BilinearForm, DegenerateRestriction, DimensionMismatch,
                                   LieAlgebra, NotClosed, direct_sum, from_matrix_algebra,
@@ -133,8 +133,7 @@ class TestModelChecks:
         assert peak <= 2.25 * 8 * n ** 4
 
     def test_extension_reuses_and_checks_the_base_model(self):
-        g, k, h, form = _berger_pieces(2, 1)
-        base = build_triple(g, k, form)
+        base, h = _berger_base(2, 1)
         first = extend_fibered(base, h, 0.5)
         assert base.model is not None
         model = base.model
@@ -287,8 +286,8 @@ def unit_scale_models():
 
 def berger_at_scale(t):
     """berger:n=3,s=0.7 with the trace form of its base scaled by t."""
-    g, k, h, form = _berger_pieces(3, 1)
-    return _model_of(extend_fibered(build_triple(g, k, form.scaled(t)), h, 0.7))
+    base, h = _berger_base(3, 1)
+    return _model_of(extend_fibered(build_triple(base.g, base.h_basis, base.B.scaled(t)), h, 0.7))
 
 
 def relative_error(got, want):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductive_lab import catalog, jacobi
-from reductive_lab.algebra import (Polynomial, operator_on_symmetric,
+from reductive_lab.algebra import (RESIDUAL_TOL, Polynomial, operator_on_symmetric,
                                    skew_spectral_decomposition)
 from reductive_lab.catalog import entries, entry
 from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily,
@@ -421,6 +421,17 @@ class TestVerifyTwistor:
         assert verify_twistor(fam, 0) > 0.1
         assert verify_twistor(fam, 1) > 0.1
 
+    @pytest.mark.parametrize("ident", ["neg:sp2-sp1", "np:v1"])
+    def test_scale_free(self, ident):
+        # the zero test follows the model's curvature scale, so the negative
+        # control is not certified trace-free at a large metric scale
+        model = entry(ident).build()
+        want = [verify_twistor(JacobiFamily(model), d) for d in range(3)]
+        for t in (1e-12, 1e-6, 1e4, 1e6, 1e12):
+            family = JacobiFamily(catalog.rescale_model(model, t))
+            got = [verify_twistor(family, d) for d in range(3)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg="t = %g" % t)
+
     def test_unsupported_order(self):
         fam = heis_family(1, 1.0)
         with pytest.raises(ValueError):
@@ -428,10 +439,10 @@ class TestVerifyTwistor:
 
     def test_polarization_rank_check(self):
         class Broken(JacobiFamily):
-            def operators(self, x, k):
-                ops = super().operators(x, k)
-                x = np.asarray(x, dtype=float)
-                return [op / (1.0 + float(x @ x)) for op in ops]
+            def stack(self, xs, k, t=None):
+                xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
+                shrink = 1.0 + np.sum(xs * xs, axis=1)
+                return super().stack(xs, k, t) / shrink[:, None, None, None]
 
         fam = Broken(heisenberg_closed_form(1, 1.0))
         with pytest.raises(PolarizationRankDeficient):
@@ -548,7 +559,7 @@ class TestScaleFreeResidual:
                 continue
             coefficients = np.array(verdict.polynomial.coefficients)
             coefficients[np.flatnonzero(coefficients)[0]] *= 1.0 + 1e-6
-            assert check_ljr(family, Polynomial(coefficients)) > jacobi.RESIDUAL_TOL, name
+            assert check_ljr(family, Polynomial(coefficients)) > RESIDUAL_TOL, name
             checked.append(name)
         assert len(checked) == 10  # all but nk:s6, np:spin7-g2 and neg:sp2-sp1
 

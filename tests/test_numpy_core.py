@@ -334,7 +334,7 @@ def test_jacobi_and_model_checks_run_under_optimize():
 CONSTRUCTION_CHECKS_UNDER_O = """
 import json
 import numpy as np
-from reductive_lab.catalog import _berger_pieces, entry, rescale_model
+from reductive_lab.catalog import _berger_base, entry, rescale_model
 from reductive_lab.liealg import (BilinearForm, LieAlgebra, from_matrix_algebra, orthonormalize,
                                   so, su)
 from reductive_lab.reductive import (InfinitesimalModel, ReductiveTriple, build_triple,
@@ -358,8 +358,7 @@ escaping = object.__new__(ReductiveTriple)
 escaping.g, escaping.h_basis, escaping.B, escaping.model = su3, h, trace, None
 escaping.m_basis = orthonormalize(orthocomplement(su3, h, trace), trace)
 escaping.dim_m = 6
-g, k, normal, form = _berger_pieces(2, 1)
-base = build_triple(g, k, form)
+base, normal = _berger_base(2, 1)
 extend_fibered(base, normal, 0.5)
 base.model = rescale_model(base.model, 2.0)
 messages = []

@@ -10,9 +10,10 @@ import itertools
 import numpy as np
 import pytest
 
+from reductive_lab.algebra import orthonormal_pairs
 from reductive_lab.liealg import so, stabilizer_subalgebra
 from reductive_lab.vcp import (G2_TYPE7, NOT_GVCP, SU3_TYPE6, VOLUME_TYPE3,
-                               InvalidS, ThreeForm, _orthonormal_pairs,
+                               InvalidS, ThreeForm,
                                appendix_component_checks,
                                classify_gvcp, fit_vcp_multiple, g2_sigma,
                                is_gvcp, is_vcp, su3_tau, volume_3form)
@@ -90,7 +91,7 @@ class TestThreeForm:
 
     def test_stacks_match_per_pair_loops(self):
         f = random_three_form(7, seed=3)
-        xs, ys = _orthonormal_pairs(7, 16, 4)
+        xs, ys = orthonormal_pairs(7, 16, 4)
         rng = np.random.default_rng(4)  # the pair stream, one pair at a time
         for x, y, mat, vec in zip(xs, ys, f.matrix(xs), f.apply(xs, ys)):
             want_x = rng.normal(size=7)
