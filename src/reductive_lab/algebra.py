@@ -66,8 +66,8 @@ class NotSkew(ValueError):
 
 
 class DegenerateSpectrum(ValueError):
-    """Eigenvalue clusters of -A^2 cannot be separated at the requested gap
-    tolerance.  The caller should resample rather than trust the splitting."""
+    """Eigenvalue clusters of -A^2 cannot be separated at GAP_TOL.  The
+    caller should resample rather than trust the splitting."""
 
 
 class Polynomial:
@@ -165,24 +165,11 @@ class SkewSpectrum:
 SkewSpectra = namedtuple("SkewSpectra", "vecs labels counts lams reasons")
 
 
-def _degenerate_reason(padded, labels, gap_tol):
-    """Why the clustered eigenvalues of one row admit no split, or None."""
-    for k in range(labels[-1] + 1):
-        vals = padded[labels == k]
-        if vals.max() - vals.min() > gap_tol / 10.0:
-            return ("eigenvalue cluster of -A^2 spans [%.3e, %.3e] at gap_tol %.1e"
-                    % (vals.min(), vals.max(), gap_tol))
-        if k and vals.size % 2:
-            return ("eigenspace of -A^2 at %.6g has odd dimension %d"
-                    % (float(np.mean(vals)), vals.size))
-    return None
-
-
-def skew_spectra(As, gap_tol: float = GAP_TOL) -> SkewSpectra:
+def skew_spectra(As) -> SkewSpectra:
     """Decompose every skew-symmetric A of a stack (N, n, n) via -A^2.
 
     The eigenvalues of -A^2 come from one stacked eigh and are clustered
-    with gap_tol; the cluster at zero is the kernel, each positive cluster
+    with GAP_TOL; the cluster at zero is the kernel, each positive cluster
     mu = lam^2 carries the complex structure J = A/lam.  A row is marked
     degenerate when a cluster is smeared, an eigenspace cannot carry a
     complex structure (odd multiplicity), or the blocks do not reconstruct
@@ -205,23 +192,28 @@ def skew_spectra(As, gap_tol: float = GAP_TOL) -> SkewSpectra:
     # the same gap rule even when A is invertible; label 0 is the kernel.
     padded = np.concatenate([np.zeros((count, 1)), mu], axis=1)
     labels = np.concatenate([np.zeros((count, 1), dtype=int),
-                             np.cumsum(np.diff(padded, axis=1) > gap_tol, axis=1)], axis=1)
+                             np.cumsum(np.diff(padded, axis=1) > GAP_TOL, axis=1)], axis=1)
     counts = labels[:, -1]
     rmax = int(counts.max(initial=0))
     onehot = labels[:, :, None] == np.arange(rmax + 1)  # (N, n + 1, rmax + 1)
     sizes = onehot.sum(axis=1)
     lo = np.where(onehot, padded[:, :, None], np.inf).min(axis=1)
     hi = np.where(onehot, padded[:, :, None], -np.inf).max(axis=1)
-    suspect = np.any(hi - lo > gap_tol / 10.0, axis=1) | np.any(sizes[:, 1:] % 2 == 1, axis=1)
-    reasons = [_degenerate_reason(padded[i], labels[i], gap_tol) if suspect[i] else None
-               for i in range(count)]
-
     sums = np.einsum("ni,nik->nk", padded, onehot.astype(float))
+    smeared = hi - lo > GAP_TOL / 10.0
+    suspect = smeared | ((sizes % 2 == 1) & (np.arange(rmax + 1) > 0))  # 0: the kernel
+    ok = ~np.any(suspect, axis=1)
+    reasons = [None] * count
+    for i in np.flatnonzero(~ok):  # the reason names the row's first suspect cluster
+        k = np.argmax(suspect[i])
+        reasons[i] = ("eigenvalue cluster of -A^2 spans [%.3e, %.3e] at gap_tol %.1e"
+                      % (lo[i, k], hi[i, k], GAP_TOL) if smeared[i, k] else
+                      "eigenspace of -A^2 at %.6g has odd dimension %d"
+                      % (sums[i, k] / sizes[i, k], sizes[i, k]))
     lams = np.sqrt(sums[:, 1:] / np.maximum(sizes[:, 1:], 1))
     labels = labels[:, 1:]
-    ok = np.array([r is None for r in reasons], dtype=bool)
     check_close(vecs[ok].transpose(0, 2, 1) @ vecs[ok], np.eye(n), RESIDUAL_TOL)
-    # a block with mu below gap_tol merges into the kernel and is lost here:
+    # a block with mu below GAP_TOL merges into the kernel and is lost here:
     # A does not vanish on the kernel columns of vecs
     residual = np.linalg.norm(As @ (vecs * (labels == 0)[:, None, :]), axis=(1, 2))
     for i in np.flatnonzero(ok & (residual > RESIDUAL_TOL * scale)):
@@ -230,13 +222,13 @@ def skew_spectra(As, gap_tol: float = GAP_TOL) -> SkewSpectra:
     return SkewSpectra(vecs, labels, counts, lams, reasons)
 
 
-def skew_spectral_decomposition(A, gap_tol: float = GAP_TOL) -> SkewSpectrum:
+def skew_spectral_decomposition(A) -> SkewSpectrum:
     """Decompose a skew-symmetric A via the symmetric PSD operator -A^2: the
     one-row case of skew_spectra.  Raises NotSkew, or DegenerateSpectrum
     when the clusters of -A^2 admit no split (the caller should resample
     rather than trust it).
     """
-    sp = skew_spectra(np.asarray(A, dtype=float)[None], gap_tol)
+    sp = skew_spectra(np.asarray(A, dtype=float)[None])
     if sp.reasons[0] is not None:
         raise DegenerateSpectrum(sp.reasons[0])
     a, vecs, labels = np.asarray(A, dtype=float), sp.vecs[0], sp.labels[0]

@@ -93,7 +93,7 @@ def trace_multiple(g: LieAlgebra, factor: float) -> BilinearForm:
     For realified complex matrices the real trace is twice the complex one,
     so the usual -1/2 complex-trace form is trace_multiple(g, -1/4).
     """
-    return BilinearForm(factor * _matrix_gram(g), name="trace")
+    return BilinearForm(factor * _matrix_gram(g))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
                + omega.T[:, None, :] * eta[None, :, None])
     # rbar[i, l, a, b] = c^2 omega[i, l] j[a, b], built in the layout the model
     # stores (axes l, b, a, i), so that no n^4 array is copied
-    w = (c ** 2 * omega).T
+    w = (c * c * omega).T  # c ** 2 would raise OverflowError for a huge c
     stored = np.multiply(w[:, None, None, :], j.T[None, :, :, None], order="C")
     return InfinitesimalModel(tau, stored.transpose(3, 0, 2, 1))
 
@@ -145,7 +145,7 @@ def aloff_wallach_n11(s: float) -> InfinitesimalModel:
     b = np.zeros((g.dim, g.dim))
     b[:8, :8] = -0.25 * gram[:8, :8]
     b[8:, 8:] = -(0.25 / s) * gram[8:, 8:]
-    form = BilinearForm(b, name="split_trace")
+    form = BilinearForm(b)
     if 1.0 + s > 0:
         root = np.sqrt(1.0 + s)
         m_basis = np.column_stack([

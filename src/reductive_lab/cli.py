@@ -1,10 +1,11 @@
 """Command-line driver: deterministic JSON reports over the catalog.
 
 Exit codes: 0 all checks pass, 1 numeric failure (residual above
-tolerance, or no relation found), 2 invalid input.  Errors go to stderr
-as JSON.  Reports are canonical (sorted keys); the wall_time field is
-null in JSON mode so identical runs stay byte-identical, the measured
-time appears in the text and Markdown renderings only.
+tolerance or not finite, or no relation found), 2 invalid input (a model
+that is not finite included).  Errors go to stderr as JSON.  Reports are
+canonical (sorted keys); the wall_time field is null in JSON mode so
+identical runs stay byte-identical, the measured time appears in the
+text and Markdown renderings only.
 """
 
 import argparse
@@ -95,12 +96,6 @@ def _coefficient_table(expected, computed):
     return rows
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("REDUCTIVE_LAB_SEED", "0"))
-
-
 def _envelope(command, seed, tolerances, samples=None):
     """Report header.  tolerances holds those the command applies, --tol
     among them; samples echoes --samples, and a command without that flag
@@ -139,20 +134,20 @@ def build_report(name, model, expected, samples, seed, tol, given=None):
         "eigen_structure": verdict.eigen_structure,
     }
     residuals = {"minimal": verdict.max_residual}
-    failed = not verdict.exists or verdict.max_residual > tol
+    failed = not verdict.exists or not verdict.max_residual <= tol
     reference = given if given is not None else expected
     if given is not None:
         given_residual = check_ljr(JacobiFamily(model), given,
                                    samples=samples, seed=seed)
         residuals["given"] = given_residual
-        failed = given_residual > tol
+        failed = not given_residual <= tol
     report["expected"] = None
     if reference is not None:
         table = _coefficient_table(reference, verdict.polynomial)
         report["expected"] = {"coefficients": _poly_tokens(reference), "table": table}
         if verdict.polynomial is not None:
             residuals["coefficient_max"] = max(row[3] for row in table)
-            failed = failed or compared and residuals["coefficient_max"] > COEFF_TOL
+            failed = failed or compared and not residuals["coefficient_max"] <= COEFF_TOL
     report["residuals"] = residuals
     return report, (1 if failed else 0)
 
@@ -268,7 +263,7 @@ def _parse_grid(text):
 
 
 def _cmd_catalog(args):
-    report = _envelope("catalog", _seed(args), {})
+    report = _envelope("catalog", args.seed, {})
     rows = []
     for e in entries():
         model = e.build()
@@ -289,7 +284,7 @@ def _cmd_catalog(args):
 def _cmd_verify(args):
     model = entry(args.id).build()
     report, code = build_report(args.id, model, None, args.samples,
-                                _seed(args), args.tol,
+                                args.seed, args.tol,
                                 given=_parse_poly(args.poly))
     return report, None, code
 
@@ -297,28 +292,26 @@ def _cmd_verify(args):
 def _cmd_minpoly(args):
     e = entry(args.id)
     report, code = build_report(args.id, e.build(), e.expected, args.samples,
-                                _seed(args), args.tol)
+                                args.seed, args.tol)
     return report, None, code
 
 
 def _cmd_gvcp(args):
     model = entry(args.id).build()
-    seed = _seed(args)
-    report = _envelope("gvcp", seed, {"spectrum": SPECTRUM_TOL})
-    cls = classify_gvcp(ThreeForm(model.tau), seed=seed)
+    report = _envelope("gvcp", args.seed, {"spectrum": SPECTRUM_TOL})
+    cls = classify_gvcp(ThreeForm(model.tau), seed=args.seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["torsion_class"] = cls
     return report, cls + "\n", 0
 
 
 def _cmd_appendix(args):
-    seed = _seed(args)
-    report = _envelope("appendix", seed, {"spectrum": SPECTRUM_TOL})
+    report = _envelope("appendix", args.seed, {"spectrum": SPECTRUM_TOL})
     rows = []
     for s in _parse_grid(args.s_grid):
         tau = ThreeForm(aloff_wallach_n11(float(s)).tau)
-        fit = fit_vcp_multiple(tau, seed=seed)
-        checks = appendix_component_checks(float(s), seed=seed)
+        fit = fit_vcp_multiple(tau, seed=args.seed)
+        checks = appendix_component_checks(float(s), seed=args.seed)
         rows.append({
             "s": float(s),
             "fitted_c_squared": None if fit is None else _token(fit ** 2),
@@ -338,9 +331,8 @@ def _cmd_appendix(args):
 
 def _cmd_twistor(args):
     model = entry(args.id).build()
-    seed = _seed(args)
-    report = _envelope("twistor", seed, {"residual": args.tol})
-    rel = verify_twistor(JacobiFamily(model), args.d, seed=seed)
+    report = _envelope("twistor", args.seed, {"residual": args.tol})
+    rel = verify_twistor(JacobiFamily(model), args.d, seed=args.seed)
     report["space"] = {"id": args.id, "dimension": model.n}
     report["degree"] = args.d
     report["relative_trace_free_norm"] = rel
@@ -366,7 +358,7 @@ def _cmd_custom(args):
         expected = _parse_poly(",".join(repr(float(v)) for v in data["expected"]))
     name = data.get("name", os.path.basename(args.file))
     report, code = build_report(name, to_model(triple), expected,
-                                args.samples, _seed(args), args.tol)
+                                args.samples, args.seed, args.tol)
     return report, None, code
 
 
@@ -378,10 +370,10 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="default: REDUCTIVE_LAB_SEED or 0")
-        p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--markdown", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", dest="as_json")
+        fmt.add_argument("--markdown", action="store_true")
 
     def relation_flags(p):
         p.add_argument("--samples", type=int, default=64)

@@ -177,13 +177,13 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
             a = p.coefficients[j:j + ops.shape[1]]
             total += np.einsum("k,pkij->pij", a, ops)
             den += size @ np.abs(a)
-        keep = den > 0
+        keep = den != 0  # a non-finite size is kept: its NaN or inf propagates
         # both scaled by the power of two 2^-e with den = f 2^e, 1/2 <= f < 1:
         # exact, and the squares in the norm cannot overflow
         e = np.frexp(den[keep])[1]
         rel = (np.linalg.norm(np.ldexp(total[keep], -e[:, None, None]), axis=(1, 2))
                / np.ldexp(den[keep], -e))
-        worst = max(worst, float(np.max(rel, initial=0.0)))
+        worst = float(np.max(rel, initial=worst))
     return worst
 
 
@@ -314,16 +314,19 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
 
     Samples are processed as stacks in rounds: first the plan, then the
     replacements drawn for the degenerate samples of the previous round, in
-    order, within a budget of three samples per plan row.
+    order, within a budget of three samples per plan row.  Every row is
+    scaled by 2^-e, e = frexp(curvature_scale)[1] // 2: exactly, to the
+    curvature scale [1/2, 2) the thresholds hold at; the lambdas scale back.
     """
     n = family.n
     xs = _sample_rows(n, samples, seed)
+    e = np.frexp(family.model.curvature_scale)[1] // 2
     rng = np.random.default_rng(seed + 0x5eed)
     budget = 3 * len(xs)
     order = []  # block count of every accepted sample, in processing order
     groups = {}  # block count -> the _detect_rows records of its samples
     resampled = skipped_zero = 0
-    batch = xs
+    batch = np.ldexp(xs, -e)
     while len(batch) and budget > 0:
         batch = batch[:budget]
         budget -= len(batch)
@@ -337,7 +340,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
             degenerate += int(np.sum(status == -1))
         resampled += degenerate
         batch = rng.normal(size=(degenerate, n))
-        batch /= np.linalg.norm(batch, axis=1)[:, None]
+        batch = np.ldexp(batch / np.linalg.norm(batch, axis=1)[:, None], -e)
 
     if not order:
         raise InsufficientSamples("no sample produced a usable spectrum")
@@ -345,6 +348,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
     records = groups[modal_r]
     keys = records[0][1]
     lam, w, rel, rel_bar = (np.concatenate([rec[i] for rec in records]) for i in (0, 2, 3, 4))
+    lam, w = np.ldexp(lam, e), np.ldexp(w, e)
     max_rel = dict(zip(keys, rel.max(axis=0).tolist()))
     max_rel_bar = dict(zip(keys, rel_bar.max(axis=0).tolist()))
     w = dict(zip(keys, w.T))

@@ -57,14 +57,8 @@ class LieAlgebra:
     are completed antisymmetrically, conflicting ones rejected.
     """
 
-    def __init__(self, dim: int, brackets, labels=None, jacobi_tol: float = JACOBI_TOL):
+    def __init__(self, dim: int, brackets):
         self.dim = int(dim)
-        if labels is None:
-            labels = ["e%d" % i for i in range(self.dim)]
-        if len(labels) != self.dim:
-            raise AssertionError("%d labels for dimension %d" % (len(labels), self.dim))
-        self.labels = list(labels)
-
         if isinstance(brackets, dict):
             brackets = [(*key, v) for key, v in brackets.items()]
         elif not isinstance(brackets, np.ndarray):
@@ -82,7 +76,7 @@ class LieAlgebra:
         self.matrices = None  # set by from_matrix_algebra
 
         residual = self.jacobi_residual()
-        if residual > jacobi_tol:
+        if residual > JACOBI_TOL:
             raise ValueError("Jacobi identity fails: residual %.3e" % residual)
 
     @property
@@ -140,7 +134,7 @@ class LieAlgebra:
 
     def killing_form(self) -> "BilinearForm":
         k = np.einsum("imk,jkm->ij", self.tensor, self.tensor)
-        return BilinearForm(0.5 * (k + k.T), name="killing")
+        return BilinearForm(0.5 * (k + k.T))
 
     def __repr__(self):
         return "LieAlgebra(dim=%d, nnz=%d)" % (self.dim, len(self._upper[0]))
@@ -271,12 +265,11 @@ def _jacobi_terms(upper, partners, dim):
 
 
 class BilinearForm:
-    def __init__(self, matrix, name: str = "B"):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if not np.max(np.abs(m - m.T)) < 1e-12:
             raise AssertionError("form must be symmetric")
         self.matrix = 0.5 * (m + m.T)
-        self.name = name
 
     def __call__(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.matrix @ np.asarray(y, float))
@@ -292,10 +285,10 @@ class BilinearForm:
         return float(np.max(worst))
 
     def scaled(self, factor: float) -> "BilinearForm":
-        return BilinearForm(factor * self.matrix, name=self.name)
+        return BilinearForm(factor * self.matrix)
 
     def __repr__(self):
-        return "BilinearForm(%r, dim=%d)" % (self.name, self.matrix.shape[0])
+        return "BilinearForm(dim=%d)" % self.matrix.shape[0]
 
 
 def null_space(a) -> np.ndarray:
@@ -430,14 +423,10 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
     offsets = np.concatenate([[0], np.cumsum(dims)])
     total = int(offsets[-1])
     rows = [np.zeros((0, 4))]
-    labels = []
-    collide = len({lab for g in algebras for lab in g.labels}) < total
-    for idx, (g, off) in enumerate(zip(algebras, offsets)):
-        off = int(off)
-        labels.extend("%d:%s" % (idx, lab) if collide else lab for lab in g.labels)
+    for g, off in zip(algebras, offsets):
         i, j, k, val = g._upper
         rows.append(np.column_stack([i + off, j + off, k + off, val]))
-    out = LieAlgebra(total, np.concatenate(rows), labels=labels)
+    out = LieAlgebra(total, np.concatenate(rows))
     if all(g.matrices is not None for g in algebras):
         sizes = [np.shape(g.matrices[0])[0] for g in algebras]
         starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -537,16 +526,14 @@ def sp(n: int) -> LieAlgebra:
 def algebra_from_json(data: dict):
     """Load a (LieAlgebra, {name: BilinearForm}) pair from the JSON schema
 
-    { "dim": n, "labels": [...], "brackets": [[i, j, k, value], ...],
-      "forms": { "name": [[...]] } }
+    { "dim": n, "brackets": [[i, j, k, value], ...], "forms": { "name": [[...]] } }
 
     Indices are 0-based; omitted (i, j) pairs mean zero bracket and the
-    antisymmetric completion is applied on load.
+    antisymmetric completion is applied on load.  Other keys are ignored.
     """
     dim = int(data["dim"])
-    labels = data.get("labels")
     brackets = [(int(i), int(j), int(k), float(v)) for i, j, k, v in data.get("brackets", [])]
-    g = LieAlgebra(dim, brackets, labels=labels)
-    forms = {name: BilinearForm(np.asarray(mat, dtype=float), name=name)
+    g = LieAlgebra(dim, brackets)
+    forms = {name: BilinearForm(np.asarray(mat, dtype=float))
              for name, mat in data.get("forms", {}).items()}
     return g, forms

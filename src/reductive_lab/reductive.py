@@ -172,13 +172,19 @@ class InfinitesimalModel:
         self.check()
 
     def check(self) -> None:
-        """tau and rbar are skew in each slot pair, up to 1e-10 max|tensor|,
-        and curvature_scale = max(max|tau|^2, max|rbar|) is stored.
+        """tau and rbar are finite (else ValueError) and skew in each slot pair,
+        up to 1e-10 max|tensor|; curvature_scale = max(max|tau|^2, max|rbar|).
 
         rbar is read from the stored matrix in slabs of at most
         _SLAB_DOUBLES entries, so that each slot swap stays in cache."""
         t, n = self.tau, self.n
+        # the one n^4 temporary: freeing it raises glibc's dynamic mmap and trim
+        # thresholds, so later MB-sized temporaries (relation detection) reuse
+        # heap pages instead of faulting in fresh ones
+        rbar_max = np.max(np.abs(self._curvature), initial=0.0)
         tau_max = np.max(np.abs(t), initial=0.0)
+        if not np.all(np.isfinite([tau_max, rbar_max])):
+            raise ValueError("tau and rbar must be finite")
         for name, skew in (("tau(x, y)", t + t.transpose(1, 0, 2)),
                            ("tau(x, ., .)", t + t.transpose(0, 2, 1))):
             if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * tau_max:
@@ -190,10 +196,6 @@ class InfinitesimalModel:
             slab = np.ascontiguousarray(c[:, b:b + step])
             pair.append(np.abs(slab + slab.transpose(3, 1, 2, 0)).max())
             endo.append(np.abs(slab + c[:, :, b:b + step].transpose(0, 2, 1, 3)).max())
-        # the one n^4 temporary: freeing it raises glibc's dynamic mmap and trim
-        # thresholds, so later MB-sized temporaries (relation detection) reuse
-        # heap pages instead of faulting in fresh ones
-        rbar_max = np.max(np.abs(self._curvature), initial=0.0)
         for name, worst in (("rbar(x, y)", pair), ("rbar(x, y) as an endomorphism", endo)):
             if not np.max(worst) <= 1e-10 * rbar_max:
                 raise AssertionError("%s is not skew" % name)
@@ -426,11 +428,11 @@ def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: fl
     gi, gj, gk, gv = g._upper
     rows = np.concatenate([np.column_stack([gi, gj, gk, gv]),
                            np.column_stack([d + i[p], d + j[p], d + k, coords[p, k]])])
-    ghat = LieAlgebra(d + q, rows, labels=list(g.labels) + ["f%d" % a for a in range(q)])
+    ghat = LieAlgebra(d + q, rows)
     bm = np.zeros((d + q, d + q))
     bm[:d, :d] = B.matrix
     bm[d:, d:] = (sign / s) * np.eye(q)
-    return ghat, BilinearForm(bm, name="%s_hat" % B.name)
+    return ghat, BilinearForm(bm)
 
 
 def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,

@@ -17,7 +17,7 @@ def minus_half_trace(g, realified=True) -> BilinearForm:
     For algebras stored realified the real trace doubles the complex one.
     """
     factor = -0.25 if realified else -0.5
-    return BilinearForm(factor * trace_form(g.matrices), name="-tr/2")
+    return BilinearForm(factor * trace_form(g.matrices))
 
 
 def unit_samples(n, count, seed=0) -> np.ndarray:

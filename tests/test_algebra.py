@@ -13,11 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reductive_lab.algebra import (
+    GAP_TOL,
     DegenerateSpectrum,
     NotSkew,
     Polynomial,
     ZERO_TOL,
     operator_on_symmetric,
+    skew_spectra,
     skew_spectral_decomposition,
 )
 
@@ -95,6 +97,23 @@ def full_minimal_polynomial(A, tol=1e-6):
     return p
 
 
+def reference_reason(mu):
+    """The per-row loop that skew_spectra's degeneracy reasons replaced:
+    the first smeared or odd cluster of the eigenvalues mu of -A^2 (the
+    cluster at 0 being the kernel), or None."""
+    padded = np.concatenate([[0.0], mu])
+    labels = np.concatenate([[0], np.cumsum(np.diff(padded) > GAP_TOL)])
+    for k in range(labels[-1] + 1):
+        vals = padded[labels == k]
+        if vals.max() - vals.min() > GAP_TOL / 10.0:
+            return ("eigenvalue cluster of -A^2 spans [%.3e, %.3e] at gap_tol %.1e"
+                    % (vals.min(), vals.max(), GAP_TOL))
+        if k and vals.size % 2:
+            return ("eigenspace of -A^2 at %.6g has odd dimension %d"
+                    % (float(np.mean(vals)), vals.size))
+    return None
+
+
 class TestSkewSpectralDecomposition:
     def test_zero_operator_is_kernel_only(self):
         s = skew_spectral_decomposition(np.zeros((5, 5)))
@@ -126,7 +145,7 @@ class TestSkewSpectralDecomposition:
         a[:2, :2] = rotation_block(1.0)
         a[2:, 2:] = rotation_block(lam2)
         with pytest.raises(DegenerateSpectrum):
-            skew_spectral_decomposition(a, gap_tol=1e-6)
+            skew_spectral_decomposition(a)
 
     def test_block_below_gap_raises(self):
         # mu = 1e-8 joins the kernel cluster, so the blocks miss A
@@ -135,6 +154,18 @@ class TestSkewSpectralDecomposition:
         a[2:, 2:] = rotation_block(1e-4)
         with pytest.raises(DegenerateSpectrum, match="reconstruct"):
             skew_spectral_decomposition(a)
+
+    def test_degenerate_reasons_match_the_per_row_loop(self, monkeypatch):
+        # rows of eigenvalues of -A^2 with smeared clusters, odd ones, both
+        # or neither; the operators are zero, so only the cluster rule speaks
+        values = [0.0, 1e-7, 5e-7, 2e-6, 1.0, 1.0 + 5e-8, 1.0 + 3e-7, 1.0 + 2e-6, 4.0]
+        mu = np.sort(np.random.default_rng(2).choice(values, size=(500, 6)), axis=1)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (mu, np.broadcast_to(np.eye(6), m.shape)))
+        got = skew_spectra(np.zeros((500, 6, 6))).reasons
+        want = [reference_reason(row) for row in mu]
+        assert got == want
+        assert None in want
+        assert any("spans" in r for r in want if r) and any("odd dim" in r for r in want if r)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4, 5, 6]))
     @settings(deadline=None)

@@ -69,10 +69,9 @@ class TestMinpoly:
         _, second, _ = run(capsys, "minpoly", "np:v3", "--json", "--seed", "42")
         assert first == second
 
-    def test_seed_sources(self, capsys, monkeypatch):
-        monkeypatch.setenv("REDUCTIVE_LAB_SEED", "9")
+    def test_seed_sources(self, capsys):
         _, out, _ = run(capsys, "minpoly", "nk:s6", "--json")
-        assert json.loads(out)["seed"] == 9
+        assert json.loads(out)["seed"] == 0
         _, out, _ = run(capsys, "minpoly", "nk:s6", "--json", "--seed", "3")
         assert json.loads(out)["seed"] == 3
 
@@ -286,6 +285,14 @@ class TestFlagSurface:
         assert exc.value.code == 2
         assert "--tol: must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["catalog", "minpoly", "verify", "gvcp", "appendix",
+                                         "twistor", "custom"])
+    def test_json_and_markdown_exclude_each_other(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--json", "--markdown"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["gvcp", "np:v3"],
         ["appendix", "--s-grid", "1:2:2"],
@@ -366,6 +373,20 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"]["type"] == "KeyError"
         assert ident in payload["error"]["message"]
+
+    # c^2 overflows the curvature: the relation check reads NaN, which fails
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_check_fails(self, capsys):
+        code, out, _ = run(capsys, "minpoly", "heisenberg:n=2,c=1e100", "--json")
+        assert code == 1
+        assert np.isnan(json.loads(out)["residuals"]["minimal"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_model_is_invalid_input(self, capsys):
+        code, _, err = run(capsys, "minpoly", "heisenberg:n=2,c=1e200", "--json")
+        assert code == 2
+        assert json.loads(err)["error"] == {"type": "ValueError",
+                                            "message": "tau and rbar must be finite"}
 
 
 def test_console_script():

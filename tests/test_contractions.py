@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import SU3_X01, SU3_X02, minus_half_trace
 
-from reductive_lab import catalog
+from reductive_lab import catalog, liealg
 from reductive_lab.catalog import entries, entry
 from reductive_lab.liealg import (
     BilinearForm,
@@ -109,11 +109,18 @@ def ref_structure_tensor(mats):
     return c
 
 
+def without_jacobi_check(dim, brackets):
+    """A LieAlgebra built with the Jacobi identity check switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liealg, "JACOBI_TOL", np.inf)
+        return LieAlgebra(dim, brackets)
+
+
 def perturbed_su3(seed=0):
     g = su(3)
     rng = np.random.default_rng(seed)
     noisy = [(i, j, k, v + 0.1 * rng.normal()) for i, j, k, v in g.triples]
-    return LieAlgebra(g.dim, noisy, jacobi_tol=np.inf)
+    return without_jacobi_check(g.dim, noisy)
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +198,7 @@ def random_antisymmetric(dim, seed):
     c = np.random.default_rng(seed).normal(size=(dim, dim, dim))
     i, j = np.triu_indices(dim, 1)
     entries = [(a, b, k, c[a, b, k]) for a, b in zip(i, j) for k in range(dim)]
-    return LieAlgebra(dim, entries, jacobi_tol=np.inf)
+    return without_jacobi_check(dim, entries)
 
 
 def rotated(g, seed):

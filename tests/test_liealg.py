@@ -268,7 +268,7 @@ class TestOrthonormalize:
 class TestJson:
     def test_round_trip(self):
         g = su(2)
-        data = {"dim": g.dim, "labels": list(g.labels),
+        data = {"dim": g.dim,
                 "brackets": [[i, j, k, v] for i, j, k, v in g.triples],
                 "forms": {"killing": g.killing_form().matrix.tolist()}}
         g2, forms = algebra_from_json(data)

@@ -68,12 +68,18 @@ def reference_w(lams, key):
     return ll + lk if kind == "(2,0)+(0,2)" else ll - lk
 
 
+def detection_scale(family):
+    """The power of two 2^-e by which minimal_ljr scales every row."""
+    return 2.0 ** -(np.frexp(family.model.curvature_scale)[1] // 2)
+
+
 def reference_queue(family, xs, seed):
-    """minimal_ljr's sample queue one X at a time: the block count of every
-    accepted sample in order, and the resampled and skipped counts."""
-    n = family.n
+    """minimal_ljr's sample queue one X at a time, on rows scaled as it
+    scales them: the block count of every accepted sample in order, and the
+    resampled and skipped counts."""
+    n, scale = family.n, detection_scale(family)
     rng = np.random.default_rng(seed + 0x5eed)
-    queue, budget = list(xs), 3 * len(xs)
+    queue, budget = list(scale * xs), 3 * len(xs)
     accepted, resampled, skipped = [], 0, 0
     while queue and budget > 0:
         x = queue.pop(0)
@@ -82,7 +88,7 @@ def reference_queue(family, xs, seed):
             spec = skew_spectral_decomposition(family.model.tau_matrix(x))
         except DegenerateSpectrum:
             v = rng.normal(size=n)
-            queue.append(v / np.linalg.norm(v))
+            queue.append(scale * (v / np.linalg.norm(v)))
             resampled += 1
             continue
         if np.linalg.norm(reference_jacobi_operator(family.model, x)) < 1e-14:
@@ -326,18 +332,20 @@ def test_rounds_follow_the_sample_queue(request, build, samples, seed):
 
 
 def test_rounds_stop_at_the_budget(monkeypatch):
-    # mark every tau_X with |tau_X|_1 > 7.5 as a crossing: on nk:flag that is
-    # most samples, so the replacements run the budget out mid-round
+    # mark every unit X with |tau_X|_1 > 7.5 as a crossing, on the rows as
+    # scaled for detection: on nk:flag that is most samples, so the
+    # replacements run the budget out mid-round
     real = algebra.skew_spectra
+    family = JacobiFamily(entry("nk:flag").build())
+    bound = 7.5 * detection_scale(family)
 
-    def crossing(As, gap_tol=algebra.GAP_TOL):
-        spectra = real(As, gap_tol)
-        for i in np.flatnonzero(np.abs(As).sum(axis=(1, 2)) > 7.5):
+    def crossing(As):
+        spectra = real(As)
+        for i in np.flatnonzero(np.abs(As).sum(axis=(1, 2)) > bound):
             spectra.reasons[i] = "forced crossing"
         return spectra
     monkeypatch.setattr(algebra, "skew_spectra", crossing)
     monkeypatch.setattr(jacobi, "skew_spectra", crossing)
-    family = JacobiFamily(entry("nk:flag").build())
     xs = sample_vectors(family.n, count=64, seed=0)
     es = minimal_ljr(family, samples=xs).eigen_structure
     accepted, resampled, skipped, budget = reference_queue(family, xs, 0)
@@ -350,8 +358,8 @@ def test_rounds_stop_at_the_budget(monkeypatch):
 def test_a_plan_without_usable_spectra_raises(monkeypatch):
     real = algebra.skew_spectra
 
-    def crossing(As, gap_tol=algebra.GAP_TOL):
-        spectra = real(As, gap_tol)
+    def crossing(As):
+        spectra = real(As)
         spectra.reasons[:] = ["forced crossing"] * len(As)
         return spectra
     monkeypatch.setattr(jacobi, "skew_spectra", crossing)
