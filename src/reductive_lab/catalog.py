@@ -30,7 +30,6 @@ from .reductive import (
     holomorphic_sectional,
     scalar_curvature,
     sectional_curvature,
-    to_model,
 )
 from .vcp import InvalidS, g2_sigma
 
@@ -43,7 +42,6 @@ __all__ = [
     "entry",
     "flag_manifold",
     "heisenberg_model",
-    "killing_multiple",
     "quaternionic_hopf",
     "rescale_model",
     "rescaled_to_scalar",
@@ -80,11 +78,6 @@ def _coords(g: LieAlgebra, mats) -> np.ndarray:
     if bad.size:
         raise AssertionError("matrix does not lie in the algebra: residual %.3e" % bad[0])
     return coeff
-
-
-def killing_multiple(g: LieAlgebra, factor: float) -> BilinearForm:
-    """factor * Killing form, computed from the structure constants."""
-    return g.killing_form().scaled(factor)
 
 
 def trace_multiple(g: LieAlgebra, factor: float) -> BilinearForm:
@@ -157,7 +150,7 @@ def aloff_wallach_n11(s: float) -> InfinitesimalModel:
         triple = build_triple(g, h, form, m_basis=m_basis)
     else:
         triple = build_triple(g, h, form)  # raises IndefiniteMetric
-    return to_model(triple)
+    return triple.model
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +229,7 @@ def round_parameter(build, lo: float, hi: float) -> float:
     build(s), the round member of a one-parameter family: golden-section
     search for a unimodal spread, to a bracket of width 1e-10."""
     def spread(s):
-        return _curvature_spread(to_model(build(s)))[0]
+        return _curvature_spread(build(s).model)[0]
     shrink = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
     fc, fd = spread(c), spread(d)
@@ -252,11 +245,6 @@ def round_parameter(build, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _model_of(triple: ReductiveTriple) -> InfinitesimalModel:
-    """The model of a triple: the one extend_fibered stored, else built."""
-    return triple.model if triple.model is not None else to_model(triple)
-
-
 def berger_consistency(n: int, s: float) -> dict:
     """Fiber-circle consistency data for the positive-curvature family.
 
@@ -266,17 +254,17 @@ def berger_consistency(n: int, s: float) -> dict:
     """
     star = -0.5 * (n - 1) / n
     base, h_cols = _berger_base(n, 1)
-    ext = _model_of(extend_fibered(base, h_cols, s))
+    ext = extend_fibered(base, h_cols, s).model
     c2 = torsion_block_eigenvalue(ext)
 
-    round_model = _model_of(extend_fibered(base, h_cols, star))
+    round_model = extend_fibered(base, h_cols, star).model
     spread, values = _curvature_spread(round_model)
     if not spread < 1e-8 * max(1.0, abs(values[0])):
         raise AssertionError("the round member is not round: spread %.3e" % spread)
     r2_round = 1.0 / float(values.mean())
     r2 = r2_round * (1.0 + star) / (1.0 + s)
 
-    base_model = _model_of(base)
+    base_model = base.model
     if base_model.n == 2:
         kappa = sectional_curvature(base_model, *np.eye(2))
     else:
@@ -313,7 +301,7 @@ def flag_manifold(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     """su(3) modulo its diagonal torus."""
     g = su(3)
     e = np.eye(g.dim)
-    return build_triple(g, e[:, 6:8], killing_multiple(g, form_scale))
+    return build_triple(g, e[:, 6:8], g.killing_form().scaled(form_scale))
 
 
 def s3_x_s3(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
@@ -321,7 +309,7 @@ def s3_x_s3(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     g = direct_sum(su(2), su(2), su(2))
     e = np.eye(g.dim)
     h = np.column_stack([e[k] + e[3 + k] + e[6 + k] for k in range(3)])
-    return build_triple(g, h, killing_multiple(g, form_scale))
+    return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
 def cp3_twistor(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
@@ -336,7 +324,7 @@ def cp3_twistor(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     h = stabilizer_subalgebra(g, g.matrices, [omega, axis])
     if h.shape[1] != 4:
         raise AssertionError("u(2) stabilizer has dimension %d, not 4" % h.shape[1])
-    return build_triple(g, h, killing_multiple(g, form_scale))
+    return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
 def s6_round(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
@@ -354,7 +342,7 @@ def s6_round(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     su3_cols = stabilizer_subalgebra(g2, g2.matrices, axis)
     if su3_cols.shape[1] != 8:
         raise AssertionError("su(3) stabilizer has dimension %d, not 8" % su3_cols.shape[1])
-    return build_triple(g2, su3_cols, killing_multiple(g2, form_scale))
+    return build_triple(g2, su3_cols, g2.killing_form().scaled(form_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +353,7 @@ def spin7_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
     """so(7) modulo g2: the round seven-sphere."""
     g = so(7)
     g2_cols = stabilizer_subalgebra(g, g.matrices, g2_sigma().values)
-    return build_triple(g, g2_cols, killing_multiple(g, form_scale))
+    return build_triple(g, g2_cols, g.killing_form().scaled(form_scale))
 
 
 def squashed_s7(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
@@ -375,7 +363,7 @@ def squashed_s7(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
     e = np.eye(g.dim)
     h = np.column_stack([e[0], e[1], e[2],
                          e[3] + e[10], e[4] + e[11], e[5] + e[12]])
-    return build_triple(g, h, killing_multiple(g, form_scale))
+    return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
 def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
@@ -394,14 +382,14 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
     h = stabilizer_subalgebra(g, g.matrices, np.einsum("aij,bjk,cki->abc", e, e, e))
     if h.shape[1] != 3:
         raise AssertionError("so(3) stabilizer has dimension %d, not 3" % h.shape[1])
-    return build_triple(g, h, killing_multiple(g, form_scale))
+    return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
 def v3_space(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     """su(3)+su(2) modulo the diagonal u(2); same isotropy columns as the
     Aloff-Wallach family, the form a Killing multiple."""
     g, h = _su3_su2_u2()
-    return build_triple(g, h, killing_multiple(g, form_scale))
+    return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +407,7 @@ def sp2_sp1_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
     """sp(2) modulo the lower-right sp(1) block."""
     g = sp(2)
     e = np.eye(g.dim)
-    return build_triple(g, e[:, 3:6], killing_multiple(g, form_scale))
+    return build_triple(g, e[:, 3:6], g.killing_form().scaled(form_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +445,7 @@ class CatalogEntry:
 
     def build(self) -> InfinitesimalModel:
         built = self._builder()
-        return _model_of(built) if isinstance(built, ReductiveTriple) else built
+        return built.model if isinstance(built, ReductiveTriple) else built
 
     def __repr__(self):
         return "CatalogEntry(%r)" % self.name

@@ -2,10 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 numeric failure (residual above
 tolerance or not finite, or no relation found), 2 invalid input (a model
-that is not finite included).  Errors go to stderr as JSON.  Reports are
-canonical (sorted keys); the wall_time field is null in JSON mode so
-identical runs stay byte-identical, the measured time appears in the
-text and Markdown renderings only.
+that is not finite included).  Errors go to stderr as JSON, and nothing
+else does.  Reports are canonical (sorted keys); the wall_time field is
+null in JSON mode so identical runs stay byte-identical, the measured
+time appears in the text and Markdown renderings only.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .jacobi import (
     verify_twistor,
 )
 from .liealg import algebra_from_json
-from .reductive import build_triple, scalar_curvature, to_model
+from .reductive import build_triple, scalar_curvature
 from .vcp import (SPECTRUM_TOL, ThreeForm, appendix_component_checks, classify_gvcp,
                   fit_vcp_multiple)
 
@@ -357,7 +357,7 @@ def _cmd_custom(args):
     if data.get("expected") is not None:
         expected = _parse_poly(",".join(repr(float(v)) for v in data["expected"]))
     name = data.get("name", os.path.basename(args.file))
-    report, code = build_report(name, to_model(triple), expected,
+    report, code = build_report(name, triple.model, expected,
                                 args.samples, args.seed, args.tol)
     return report, None, code
 
@@ -426,7 +426,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, text, code = args.fn(args)
+        # numpy's floating-point warnings stay off stderr: a non-finite result
+        # fails its gate and is reported in the JSON error or the report
+        with np.errstate(all="ignore"):
+            report, text, code = args.fn(args)
     except (KeyError, ValueError, AssertionError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         sys.stderr.write(_dump({

@@ -76,14 +76,9 @@ class LieAlgebra:
         self.matrices = None  # set by from_matrix_algebra
 
         residual = self.jacobi_residual()
-        if residual > JACOBI_TOL:
+        # relative to max|c^k_ij|^2, as the cyclic sums are quadratic in the constants
+        if residual > JACOBI_TOL * np.max(np.abs(self._upper[3]), initial=0.0) ** 2:
             raise ValueError("Jacobi identity fails: residual %.3e" % residual)
-
-    @property
-    def triples(self) -> tuple:
-        """The nonzero c^k_ij with i < j as (i, j, k, value), sorted."""
-        i, j, k, v = self._upper
-        return tuple(zip(i.tolist(), j.tolist(), k.tolist(), v))
 
     def jacobi_residual(self) -> float:
         """Max |[ad e_i, ad e_j] - ad [e_i, e_j]| over i < j.

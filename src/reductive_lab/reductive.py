@@ -10,6 +10,8 @@ oracle on the round 3-sphere in the tests.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import check_close
@@ -82,8 +84,12 @@ class ReductiveTriple:
         self.B = B
         self.m_basis = np.asarray(m_basis, dtype=float)
         self.dim_m = self.m_basis.shape[1]
-        self.model = None  # set by extend_fibered on both triples, whose models it checks
         self.check()
+
+    @cached_property
+    def model(self) -> "InfinitesimalModel":
+        """The infinitesimal model, built by to_model on first read."""
+        return to_model(self)
 
     def m_component(self, v) -> np.ndarray:
         """Coordinates of the m-part of g-vectors (last axis) in the
@@ -95,14 +101,22 @@ class ReductiveTriple:
         return v - self.m_component(v) @ self.m_basis.T
 
     def check(self) -> None:
-        g, h, m, B = self.g, self.h_basis, self.m_basis, self.B
+        """m is B-orthonormal, and h is B-orthogonal to m with [h, h] in h and
+        [h, m] in m.  The h-checks read h with unit columns, B / max|B| (so m
+        times sqrt(max|B|)) and the brackets / max|c^k_ij|, so a scaled form
+        or rescaled isotropy columns pass or fail alike."""
+        g, m, B = self.g, self.m_basis, self.B
         check_close(m.T @ B.matrix @ m, np.eye(self.dim_m), 1e-10,
                     err_msg="m-basis not B-orthonormal")
+        lengths = np.linalg.norm(self.h_basis, axis=0)
+        h = self.h_basis / np.where(lengths > 0, lengths, 1.0)
+        root = np.sqrt(np.max(np.abs(B.matrix)))
         if h.shape[1]:
-            check_close(h.T @ B.matrix @ m, np.zeros((h.shape[1], self.dim_m)), 1e-10,
+            check_close(h.T @ B.matrix @ m / root, np.zeros((h.shape[1], self.dim_m)), 1e-10,
                         err_msg="h and m not B-orthogonal")
-        worst_hh = float(np.max(np.abs(self.m_component(g.brackets(h, h))), initial=0.0))
-        worst_hm = float(np.max(np.abs(g.brackets(h, m) @ (B.matrix @ h)), initial=0.0))
+        scale = root * (np.max(np.abs(g._upper[3]), initial=0.0) or 1.0)
+        worst_hh = float(np.max(np.abs(self.m_component(g.brackets(h, h))), initial=0.0)) / scale
+        worst_hm = float(np.max(np.abs(g.brackets(h, m) @ (B.matrix @ h)), initial=0.0)) / scale
         if worst_hh > 1e-9:
             raise NotReductive("[h,h] leaves h: residual %.3e" % worst_hh)
         if worst_hm > 1e-9:
@@ -125,18 +139,12 @@ def build_triple(g: LieAlgebra, h_basis, B: BilinearForm,
     if np.min(np.abs(_unit_row_spectrum(B.matrix))) <= 1e-10:
         raise NonInvariantForm("B is degenerate on g")
     h_basis = np.asarray(h_basis, dtype=float).reshape(g.dim, -1)
-    if m_basis is None:
-        m_cols = orthocomplement(g, h_basis, B)
-        gram = m_cols.T @ B.matrix @ m_cols
-        if m_cols.shape[1] and np.min(_unit_row_spectrum(gram)) <= 1e-10:
-            raise IndefiniteMetric("B restricted to m is not positive definite")
-        m_basis = orthonormalize(m_cols, B)
-    else:
-        m_basis = np.asarray(m_basis, dtype=float)
-        gram = m_basis.T @ B.matrix @ m_basis
-        if np.min(_unit_row_spectrum(gram)) <= 1e-10:
-            raise IndefiniteMetric("B restricted to m is not positive definite")
-    return ReductiveTriple(g, h_basis, B, m_basis)
+    m_cols = orthocomplement(g, h_basis, B) if m_basis is None \
+        else np.asarray(m_basis, dtype=float)
+    if m_cols.shape[1] and np.min(_unit_row_spectrum(m_cols.T @ B.matrix @ m_cols)) <= 1e-10:
+        raise IndefiniteMetric("B restricted to m is not positive definite")
+    return ReductiveTriple(g, h_basis, B,
+                           orthonormalize(m_cols, B) if m_basis is None else m_cols)
 
 
 def _unit_row_spectrum(a) -> np.ndarray:
@@ -414,7 +422,7 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     mhat[d:, triple.dim_m:] = -s * scale * np.eye(q)
 
     extended = build_triple(ghat, khat, bhat, m_basis=mhat)
-    extended.model = _verify_extension(triple, extended, z_cols, s, sign, q)
+    _verify_extension(triple, extended, z_cols, s, sign, q)
     return extended
 
 
@@ -436,8 +444,8 @@ def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: fl
 
 
 def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
-                      z_cols, s: float, sign: float, q: int) -> InfinitesimalModel:
-    """Postcondition of extend_fibered; returns the model of the extension.
+                      z_cols, s: float, sign: float, q: int) -> None:
+    """Postcondition of extend_fibered, on the models of both triples.
 
     Horizontal torsion is unchanged and the vertical part is the isotropy
     action of the fiber directions scaled by 1/sqrt(|1+s|); for a 1-dim
@@ -446,10 +454,7 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     that they hold alike for a scaled form.
     """
     n = base.dim_m
-    model = to_model(extended)
-    if base.model is None:
-        base.model = to_model(base)
-    base_model = base.model
+    model, base_model = extended.model, base.model
     tol_t = 1e-9 * np.max(np.abs(model.tau))
     tol_r = 1e-9 * np.max(np.abs(model._curvature))
     check_close(model.tau[:n, :n, :n], base_model.tau, tol_t,
@@ -472,4 +477,3 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
         if not (np.max(np.abs(model.rbar[n:])) < tol_r
                 and np.max(np.abs(model.rbar[:, :, n:])) < tol_r):
             raise AssertionError("curvature has a vertical part")
-    return model

@@ -50,9 +50,9 @@ class ThreeForm:
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or len(set(values.shape)) != 1:
             raise AssertionError("a 3-form needs shape (n, n, n), got %s" % (values.shape,))
-        scale = max(1.0, float(np.abs(values).max()))
+        scale = float(np.abs(values).max())  # the bound of InfinitesimalModel.check
         for axes in [(1, 0, 2), (0, 2, 1)]:
-            if np.abs(values + values.transpose(axes)).max() > 1e-12 * scale:
+            if np.abs(values + values.transpose(axes)).max() > 1e-10 * scale:
                 raise ValueError("coefficients are not totally antisymmetric")
         self.n = values.shape[0]
         self.values = values

@@ -7,6 +7,12 @@ SU3_X01, SU3_Y01, SU3_X02, SU3_Y02 = 0, 1, 2, 3
 SU3_X12, SU3_Y12, SU3_H0, SU3_H1 = 4, 5, 6, 7
 
 
+def upper_entries(g) -> tuple:
+    """The nonzero c^k_ij of g with i < j as (i, j, k, value), sorted."""
+    i, j, k, v = g._upper
+    return tuple(zip(i.tolist(), j.tolist(), k.tolist(), v))
+
+
 def trace_form(mats) -> np.ndarray:
     return np.array([[float(np.trace(a @ b)) for b in mats] for a in mats])
 

@@ -252,7 +252,6 @@ class TestBergerFamily:
         def counted(triple):
             dims.append(triple.dim_m)
             return to_model(triple)
-        monkeypatch.setattr(catalog, "to_model", counted)
         monkeypatch.setattr(reductive, "to_model", counted)
         got = catalog.berger_consistency(n, s)
         # one model each for the member at s and the round member

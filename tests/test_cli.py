@@ -1,6 +1,8 @@
 """Exit codes, determinism and report shape of the command-line driver."""
 
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -375,18 +377,41 @@ class TestErrors:
         assert ident in payload["error"]["message"]
 
     # c^2 overflows the curvature: the relation check reads NaN, which fails
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_check_fails(self, capsys):
         code, out, _ = run(capsys, "minpoly", "heisenberg:n=2,c=1e100", "--json")
         assert code == 1
         assert np.isnan(json.loads(out)["residuals"]["minimal"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_model_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "minpoly", "heisenberg:n=2,c=1e200", "--json")
         assert code == 2
         assert json.loads(err)["error"] == {"type": "ValueError",
                                             "message": "tau and rbar must be finite"}
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+class TestStderr:
+    """In a fresh process, stderr carries the JSON error or nothing: overflow
+    inside a command writes no numpy warning."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["minpoly", "heisenberg:n=2,c=1e200", "--json"], 2),
+        (["minpoly", "heisenberg:n=2,c=1e100"], 1),
+        (["twistor", "heisenberg:n=2,c=1e150", "--d", "1"], 1),
+    ], ids=["non-finite model", "overflowing check", "overflowing twistor"])
+    def test_stderr_is_json_or_empty(self, argv, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "reductive_lab.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == code
+        if code == 2:
+            assert json.loads(out.stderr)["error"]["type"] == "ValueError"
+        else:
+            assert out.stderr == ""
+            assert "nan" in out.stdout
 
 
 def test_console_script():

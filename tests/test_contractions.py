@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SU3_X01, SU3_X02, minus_half_trace
+from conftest import SU3_X01, SU3_X02, minus_half_trace, upper_entries
 
 from reductive_lab import catalog, liealg
 from reductive_lab.catalog import entries, entry
@@ -119,7 +119,7 @@ def without_jacobi_check(dim, brackets):
 def perturbed_su3(seed=0):
     g = su(3)
     rng = np.random.default_rng(seed)
-    noisy = [(i, j, k, v + 0.1 * rng.normal()) for i, j, k, v in g.triples]
+    noisy = [(i, j, k, v + 0.1 * rng.normal()) for i, j, k, v in upper_entries(g)]
     return without_jacobi_check(g.dim, noisy)
 
 
@@ -163,7 +163,7 @@ class TestBrackets:
         want = tuple(sorted(
             (i, j, k, c[i, j, k]) for i in range(g.dim) for j in range(i + 1, g.dim)
             for k in range(g.dim) if c[i, j, k] != 0.0))
-        assert g.triples == want
+        assert upper_entries(g) == want
 
 
 class TestToModel:
@@ -253,7 +253,7 @@ class TestJacobiResidual:
     def test_rejects_broken_tensor(self):
         g = perturbed_su3()
         with pytest.raises(ValueError, match="Jacobi identity fails"):
-            LieAlgebra(g.dim, g.triples)
+            LieAlgebra(g.dim, upper_entries(g))
 
     def test_su8_peak_memory(self):
         tracemalloc.start()
@@ -303,7 +303,9 @@ class TestReductiveCheck:
         form = minus_half_trace(g)
         m = orthonormalize(orthocomplement(g, h, form), form)
         ref = ref_bracket(g, h[:, 0], h[:, 1])
-        want = float(np.max(np.abs(m.T @ form.matrix @ ref)))
+        # read at B / max|B| (m times its root) and brackets / max|c^k_ij|
+        scale = np.sqrt(np.max(np.abs(form.matrix))) * np.max(np.abs(g.tensor))
+        want = float(np.max(np.abs(m.T @ form.matrix @ ref))) / scale
         assert want > 1e-3
         with pytest.raises(NotReductive,
                            match=re.escape("[h,h] leaves h: residual %.3e" % want)):
