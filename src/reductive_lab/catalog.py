@@ -9,7 +9,7 @@ are the stable CLI names, e.g. ``nk:flag`` or ``berger:n=2,s=1``.
 
 import numpy as np
 
-from .algebra import Polynomial, orthonormal_pairs
+from .algebra import Polynomial
 from .liealg import (
     BilinearForm,
     LieAlgebra,
@@ -27,25 +27,20 @@ from .reductive import (
     ReductiveTriple,
     build_triple,
     extend_fibered,
-    holomorphic_sectional,
     scalar_curvature,
-    sectional_curvature,
 )
 from .vcp import InvalidS, g2_sigma
 
 __all__ = [
     "CatalogEntry",
     "aloff_wallach_n11",
-    "berger_consistency",
     "berger_total_space",
     "entries",
     "entry",
     "flag_manifold",
     "heisenberg_model",
-    "quaternionic_hopf",
     "rescale_model",
     "rescaled_to_scalar",
-    "round_parameter",
     "s3_x_s3",
     "s6_round",
     "sp2_sp1_sphere",
@@ -215,82 +210,6 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
     if not float(block.max() - block.min()) < 1e-8 * top:
         raise AssertionError("nonzero spectrum of -tau_x^2 is not constant")
     return float(block.mean())
-
-
-def _curvature_spread(model: InfinitesimalModel):
-    """Spread and values of the sectional curvature on 24 fixed-seed
-    orthonormal pairs."""
-    values = sectional_curvature(model, *orthonormal_pairs(model.n, 24, 0))
-    return float(values.max() - values.min()), values
-
-
-def round_parameter(build, lo: float, hi: float) -> float:
-    """Parameter in (lo, hi) minimizing the sectional-curvature spread of
-    build(s), the round member of a one-parameter family: golden-section
-    search for a unimodal spread, to a bracket of width 1e-10."""
-    def spread(s):
-        return _curvature_spread(build(s).model)[0]
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc, fd = spread(c), spread(d)
-    while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = spread(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = spread(d)
-    return 0.5 * (lo + hi)
-
-
-def berger_consistency(n: int, s: float) -> dict:
-    """Fiber-circle consistency data for the positive-curvature family.
-
-    Returns c^2 read off the torsion, the squared fiber radius r^2 derived
-    from the round member, the base curvature kappa, and the two sides of
-    4 c^2 = r^2 kappa^2.
-    """
-    star = -0.5 * (n - 1) / n
-    base, h_cols = _berger_base(n, 1)
-    ext = extend_fibered(base, h_cols, s).model
-    c2 = torsion_block_eigenvalue(ext)
-
-    round_model = extend_fibered(base, h_cols, star).model
-    spread, values = _curvature_spread(round_model)
-    if not spread < 1e-8 * max(1.0, abs(values[0])):
-        raise AssertionError("the round member is not round: spread %.3e" % spread)
-    r2_round = 1.0 / float(values.mean())
-    r2 = r2_round * (1.0 + star) / (1.0 + s)
-
-    base_model = base.model
-    if base_model.n == 2:
-        kappa = sectional_curvature(base_model, *np.eye(2))
-    else:
-        j = ext.tau_matrix(np.eye(ext.n)[-1])[: base_model.n, : base_model.n]
-        j /= np.sqrt(c2)
-        hs = holomorphic_sectional(base_model, j, np.eye(base_model.n))
-        if not hs.max() - hs.min() < 1e-8 * abs(hs[0]):
-            raise AssertionError("holomorphic sectional curvature of the base is not constant")
-        kappa = float(np.mean(hs))
-    return {"c2": c2, "r2": r2, "kappa": kappa,
-            "lhs": 4.0 * c2, "rhs": r2 * kappa ** 2}
-
-
-def quaternionic_hopf(s: float) -> ReductiveTriple:
-    """Three-dimensional fiber over the quaternionic projective line.
-
-    The base is sp(2) modulo both diagonal sp(1) blocks; the lower-right
-    block stays isotropy and the upper-left block becomes the fiber.
-    """
-    g = sp(2)
-    form = trace_multiple(g, -0.25)
-    e = np.eye(g.dim)
-    k_cols = e[:, :6]
-    h_cols = e[:, 3:6]
-    base = build_triple(g, k_cols, form)
-    return extend_fibered(base, h_cols, s, allow_higher_fiber=True)
 
 
 # ---------------------------------------------------------------------------

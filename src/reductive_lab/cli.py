@@ -38,18 +38,21 @@ COEFF_TOL = 1e-7
 __all__ = ["main", "build_report", "render_text", "render_markdown"]
 
 
-def _token(x):
-    """Exact string for a float within 1e-9 of a small rational, else the float.
+def _token(x, unit):
+    """Exact string for a float within 1e-9 units of a small rational, else
+    the float.
 
-    Terminating decimals are spelled as decimals ("1.25"), the rest as
-    fractions ("1/36").  Keeps report tables legible without losing
-    precision.
+    The unit is the size the value has in its model: a power of the
+    curvature scale, or 1 for a value without a model.  So a relation or a
+    scalar curvature at small metric scale is not spelled as 0.  Terminating
+    decimals are spelled as decimals ("1.25"), the rest as fractions
+    ("1/36").  Keeps report tables legible without losing precision.
     """
     x = float(x)
     if not np.isfinite(x):
         return x
     frac = Fraction(x).limit_denominator(3600)
-    if abs(float(frac) - x) > 1e-9:
+    if abs(float(frac) - x) > 1e-9 * unit:
         return x
     if frac.denominator == 1:
         return str(frac.numerator)
@@ -78,21 +81,30 @@ def _dump(report) -> str:
     return json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
 
 
-def _poly_tokens(p: Polynomial):
-    return [_token(c) for c in p.coefficients[::-1]]  # highest degree first
+def _coefficient(p: Polynomial, power, scale):
+    """(value, token) of the lambda^power coefficient of p, 0 above its
+    degree; the token's unit is scale^((degree - power) / 2)."""
+    if p is None or power > p.degree:
+        return 0.0, "0"
+    value = p.coefficients[power]
+    return value, _token(value, scale ** ((p.degree - power) / 2))
 
 
-def _coefficient_table(expected, computed):
+def _poly_tokens(p: Polynomial, scale):
+    """Coefficient tokens, highest degree first, for a model of curvature
+    scale `scale`."""
+    return [_coefficient(p, power, scale)[1] for power in range(p.degree, -1, -1)]
+
+
+def _coefficient_table(expected, computed, scale):
     """Rows (label, expected, computed, |diff|) for the a2, a4, ... slots."""
     rows = []
     degree = max(p.degree for p in (expected, computed) if p is not None)
     for power in range(degree, -1, -1):
         label = "lambda^%d" % power if power > 1 else ("lambda" if power else "1")
-        want = expected.coefficients[power] if expected is not None \
-            and power <= expected.degree else 0.0
-        got = computed.coefficients[power] if computed is not None \
-            and power <= computed.degree else 0.0
-        rows.append([label, _token(want), _token(got), abs(float(want) - float(got))])
+        (want, want_token), (got, got_token) = (_coefficient(p, power, scale)
+                                                for p in (expected, computed))
+        rows.append([label, want_token, got_token, abs(float(want) - float(got))])
     return rows
 
 
@@ -122,13 +134,14 @@ def build_report(name, model, expected, samples, seed, tol, given=None):
                         **({"coefficient": COEFF_TOL} if compared else {})}, samples)
     verdict = minimal_ljr(JacobiFamily(model), samples=samples, seed=seed)
     report["space"] = {"id": name, "dimension": model.n}
-    report["scalar_curvature"] = _token(scalar_curvature(model))
+    scale = model.curvature_scale
+    report["scalar_curvature"] = _token(scalar_curvature(model), scale)
     report["torsion_class"] = classify_gvcp(ThreeForm(model.tau), seed=seed)
     report["ljr"] = {
         "exists": verdict.exists,
         "order": None if verdict.polynomial is None else verdict.polynomial.degree - 1,
         "coefficients": None if verdict.polynomial is None
-        else _poly_tokens(verdict.polynomial),
+        else _poly_tokens(verdict.polynomial, scale),
         "coefficient_layout": "highest-degree-first",
         "max_residual": verdict.max_residual,
         "eigen_structure": verdict.eigen_structure,
@@ -143,8 +156,8 @@ def build_report(name, model, expected, samples, seed, tol, given=None):
         failed = not given_residual <= tol
     report["expected"] = None
     if reference is not None:
-        table = _coefficient_table(reference, verdict.polynomial)
-        report["expected"] = {"coefficients": _poly_tokens(reference), "table": table}
+        table = _coefficient_table(reference, verdict.polynomial, scale)
+        report["expected"] = {"coefficients": _poly_tokens(reference, scale), "table": table}
         if verdict.polynomial is not None:
             residuals["coefficient_max"] = max(row[3] for row in table)
             failed = failed or compared and not residuals["coefficient_max"] <= COEFF_TOL
@@ -270,8 +283,9 @@ def _cmd_catalog(args):
         rows.append({
             "id": e.name,
             "dimension": model.n,
-            "scalar_curvature": _token(scalar_curvature(model)),
-            "expected": None if e.expected is None else _poly_tokens(e.expected),
+            "scalar_curvature": _token(scalar_curvature(model), model.curvature_scale),
+            "expected": None if e.expected is None
+            else _poly_tokens(e.expected, model.curvature_scale),
             "note": e.note,
         })
     report["entries"] = rows
@@ -314,8 +328,8 @@ def _cmd_appendix(args):
         checks = appendix_component_checks(float(s), seed=args.seed)
         rows.append({
             "s": float(s),
-            "fitted_c_squared": None if fit is None else _token(fit ** 2),
-            "candidate_c_squared": _token(s + 1.0),
+            "fitted_c_squared": None if fit is None else _token(fit ** 2, 1.0),
+            "candidate_c_squared": _token(s + 1.0, 1.0),
             "residuals": checks,
         })
     report["sweep"] = rows

@@ -39,7 +39,6 @@ __all__ = [
     "component_split",
     "universal_jr",
     "isotropy_invariance_check",
-    "trace_free_part",
     "verify_twistor",
 ]
 
@@ -567,30 +566,6 @@ def _project_traces(n, k, vec):
     if float(np.linalg.norm(contract(out))) > 1e-8 * norm:
         raise AssertionError("trace projection did not converge")
     return out
-
-
-def trace_free_part(t, k: int) -> np.ndarray:
-    """Completely trace-free part of an element of Sym^(k+2) x Sym^2.
-
-    Input shape (n,) * (k+4), symmetric in the first k+2 slots and the last
-    two.  Projects orthogonally onto the joint kernel of the three metric
-    contractions; re-contracting the output is verified to leave residual
-    below 1e-8 relative.
-    """
-    t = np.asarray(t, dtype=float)
-    m = k + 2
-    n = t.shape[0]
-    if t.shape != (n,) * (m + 2):
-        raise ValueError("expected shape (n,) * %d, got %s" % (m + 2, t.shape))
-    scale = 1e-9 * max(1.0, float(np.max(np.abs(t))))
-    if (np.max(np.abs(t - np.swapaxes(t, 0, 1))) >= scale
-            or np.max(np.abs(t - np.swapaxes(t, m, m + 1))) >= scale):
-        raise ValueError("the tensor is not symmetric in its slot groups")
-    weights = np.outer(_weights(n, m), _weights(n, 2))
-    comp = t.reshape(n ** m, n * n)[np.ix_(_code(n, _msets(n, m)), _code(n, _msets(n, 2)))]
-    out = _project_traces(n, k, (comp * weights).reshape(-1)).reshape(weights.shape) / weights
-    ranks = [_rank(n, np.indices((n,) * j).reshape(j, -1).T) for j in (m, 2)]
-    return out[np.ix_(*ranks)].reshape((n,) * (m + 2))
 
 
 def _coefficients(model: InfinitesimalModel, k: int) -> np.ndarray:

@@ -24,21 +24,15 @@ __all__ = [
     "NotReductive",
     "IndefiniteMetric",
     "NonInvariantForm",
-    "DegeneratePlane",
-    "NotComplexStructure",
     "InadmissibleS",
     "NotNormalSubalgebra",
-    "NotOneDimensional",
     "ReductiveTriple",
     "InfinitesimalModel",
     "build_triple",
     "to_model",
     "jacobi_operator",
-    "sectional_curvature",
     "ricci",
     "scalar_curvature",
-    "holomorphic_sectional",
-    "check_chsc_equivalences",
     "extend_fibered",
 ]
 
@@ -55,23 +49,11 @@ class NonInvariantForm(ValueError):
     pass
 
 
-class DegeneratePlane(ValueError):
-    pass
-
-
-class NotComplexStructure(ValueError):
-    pass
-
-
 class InadmissibleS(ValueError):
     pass
 
 
 class NotNormalSubalgebra(ValueError):
-    pass
-
-
-class NotOneDimensional(ValueError):
     pass
 
 
@@ -101,15 +83,24 @@ class ReductiveTriple:
         return v - self.m_component(v) @ self.m_basis.T
 
     def check(self) -> None:
-        """m is B-orthonormal, and h is B-orthogonal to m with [h, h] in h and
-        [h, m] in m.  The h-checks read h with unit columns, B / max|B| (so m
-        times sqrt(max|B|)) and the brackets / max|c^k_ij|, so a scaled form
-        or rescaled isotropy columns pass or fail alike."""
+        """h and m span g, m is B-orthonormal, and h is B-orthogonal to m
+        with [h, h] in h and [h, m] in m.  The span is the rank of [h | m]
+        with unit columns at 1e-10; the h-checks read h with unit columns,
+        B / max|B| (so m times sqrt(max|B|)) and the brackets / max|c^k_ij|,
+        so a scaled form or rescaled isotropy columns pass or fail alike."""
         g, m, B = self.g, self.m_basis, self.B
+        def unit(a):
+            lengths = np.linalg.norm(a, axis=0)
+            return a / np.where(lengths > 0, lengths, 1.0)
+        h = unit(self.h_basis)
+        both = np.column_stack([h, unit(m)])
+        sv = np.linalg.svd(both, compute_uv=False)
+        rank = int(np.sum(sv > 1e-10 * np.max(sv, initial=0.0)))
+        if both.shape[1] != g.dim or rank != g.dim:
+            raise NotReductive("h and m do not span g: dim h + dim m = %d, rank %d, dim g = %d"
+                               % (both.shape[1], rank, g.dim))
         check_close(m.T @ B.matrix @ m, np.eye(self.dim_m), 1e-10,
                     err_msg="m-basis not B-orthonormal")
-        lengths = np.linalg.norm(self.h_basis, axis=0)
-        h = self.h_basis / np.where(lengths > 0, lengths, 1.0)
         root = np.sqrt(np.max(np.abs(B.matrix)))
         if h.shape[1]:
             check_close(h.T @ B.matrix @ m / root, np.zeros((h.shape[1], self.dim_m)), 1e-10,
@@ -272,18 +263,6 @@ def jacobi_operator(model: InfinitesimalModel, x, t=None) -> np.ndarray:
     return model.curvature_term(x) - 0.25 * (t @ t)
 
 
-def sectional_curvature(model: InfinitesimalModel, x, y):
-    """K(X, Y) = <R_0(Y) X, X> / |X ^ Y|^2, for one pair (a float) or for
-    every row pair of two stacks; any degenerate pair raises."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gram = np.sum(x * x, -1) * np.sum(y * y, -1) - np.sum(x * y, -1) ** 2
-    if np.any(gram <= 1e-10):
-        raise DegeneratePlane("x and y do not span a 2-plane")
-    k = np.einsum("...a,...ab,...b->...", x, jacobi_operator(model, y), x) / gram
-    return float(k) if k.ndim == 0 else k
-
-
 def ricci(model: InfinitesimalModel, x):
     """Ric(X, X) = tr R_0(X), for one X or for every row X of a stack."""
     return np.trace(jacobi_operator(model, x), axis1=-2, axis2=-1)
@@ -293,82 +272,15 @@ def scalar_curvature(model: InfinitesimalModel) -> float:
     return float(np.sum(ricci(model, np.eye(model.n))))
 
 
-def _check_complex_structure(j, n):
-    j = np.asarray(j, dtype=float)
-    if j.shape != (n, n) or np.max(np.abs(j @ j + np.eye(n))) > 1e-9 \
-            or np.max(np.abs(j.T @ j - np.eye(n))) > 1e-9:
-        raise NotComplexStructure("J must be orthogonal with J^2 = -id")
-    return j
-
-
-def holomorphic_sectional(model: InfinitesimalModel, j, x):
-    """H(X) = R(X, JX, JX, X) / |X|^4, for one X (a float) or for every row
-    X of a stack; any zero X raises."""
-    j = _check_complex_structure(j, model.n)
-    x = np.asarray(x, dtype=float)
-    jx = x @ j.T
-    norm4 = np.sum(x * x, -1) ** 2
-    if not np.all(norm4 > 0):
-        raise ValueError("holomorphic sectional curvature needs a nonzero X")
-    h = np.einsum("...a,...ab,...b->...", jx, jacobi_operator(model, x), jx) / norm4
-    return float(h) if h.ndim == 0 else h
-
-
-def check_chsc_equivalences(model: InfinitesimalModel, j) -> dict:
-    """Evaluate the four equivalent constancy conditions on 32 fixed-seed
-    unit samples, as stacks.
-
-    (1) sectional curvature constant, (2) holomorphic sectional curvature
-    constant, (3) the Jacobi operator preserves span{JX}, (4) the quadratic
-    form of R_0(X) is invariant under U -> tau_X U on {X, JX}-perp, i.e. the
-    form P^T (tau_X^T R_0(X) tau_X - R_0(X)) P vanishes for an orthonormal
-    basis P of {X, JX}-perp; its residual is the largest |eigenvalue|.
-    Returns per-condition booleans, residuals, and their logical agreement.
-    """
-    j = _check_complex_structure(j, model.n)
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=(32, model.n))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
-    ys = rng.normal(size=xs.shape)
-    ys -= np.sum(ys * xs, axis=1)[:, None] * xs
-    ys /= np.linalg.norm(ys, axis=1)[:, None]
-
-    sec = sectional_curvature(model, xs, ys)
-    res_1 = float(sec.max() - sec.min()) / max(1.0, float(np.max(np.abs(sec))))
-    hol = holomorphic_sectional(model, j, xs)
-    res_2 = float(hol.max() - hol.min()) / max(1.0, float(np.max(np.abs(hol))))
-
-    ops = jacobi_operator(model, xs)
-    scale = np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))
-    jxs = xs @ j.T
-    image = np.einsum("pab,pb->pa", ops, jxs)
-    off = image - np.sum(image * jxs, axis=1)[:, None] * jxs
-    res_3 = float(np.max(np.linalg.norm(off, axis=1) / scale))
-    # X, JX are orthonormal: their last n - 2 right singular vectors span {X, JX}-perp
-    perp = np.linalg.svd(np.stack([xs, jxs], axis=1))[2][:, 2:]
-    t = model.tau_matrix(xs)
-    twist = t.swapaxes(1, 2) @ ops @ t - ops
-    form = np.linalg.eigvalsh(perp @ twist @ perp.swapaxes(1, 2))
-    res_4 = float(np.max(np.abs(form) / scale[:, None], initial=0.0))
-
-    residuals = {"constant_sectional": res_1, "constant_holomorphic": res_2,
-                 "jacobi_preserves_j_line": res_3, "torsion_twist_identity": res_4}
-    verdicts = {key: bool(r < 1e-6) for key, r in residuals.items()}
-    return {**verdicts, "residuals": residuals, "all_agree": len(set(verdicts.values())) == 1}
-
-
-def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
-                   allow_higher_fiber: bool = False) -> ReductiveTriple:
+def extend_fibered(triple: ReductiveTriple, h_normal, s: float) -> ReductiveTriple:
     """One-parameter family of naturally reductive metrics on a fiber bundle
     over the base triple (g, k, B), for h normal in the isotropy algebra k.
 
     The extended algebra is g + k/h with the fiber factor carrying (1/s) B,
     the isotropy is embedded diagonally, and s = 0 returns the normal triple
     on G/H directly.  Admissible s keeps (1+s) B positive on the fiber
-    directions.  For a 1-dimensional fiber the model torsion and curvature of
-    the result are verified against the closed-form extension of the base
-    model; higher-dimensional fibers (behind allow_higher_fiber) verify the
-    O'Neill vertical part instead.
+    directions.  The fiber k/h may have any dimension q; the result is
+    verified by _verify_extension.
     """
     g, k_basis, B = triple.g, triple.h_basis, triple.B
     h_normal = np.asarray(h_normal, dtype=float).reshape(g.dim, -1)
@@ -392,8 +304,6 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     z_in_k = null_space(h_in_k.T @ k_gram)
     z_cols = k_basis @ z_in_k
     q = z_cols.shape[1]
-    if q != 1 and not allow_higher_fiber:
-        raise NotOneDimensional("k/h has dimension %d, expected 1" % q)
 
     fiber_gram = z_cols.T @ B.matrix @ z_cols
     fiber_eigs = np.linalg.eigvalsh(fiber_gram)
@@ -422,7 +332,7 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float,
     mhat[d:, triple.dim_m:] = -s * scale * np.eye(q)
 
     extended = build_triple(ghat, khat, bhat, m_basis=mhat)
-    _verify_extension(triple, extended, z_cols, s, sign, q)
+    _verify_extension(triple, extended, z_cols, s, sign)
     return extended
 
 
@@ -444,12 +354,13 @@ def _extended_algebra(g: LieAlgebra, B: BilinearForm, z_cols, s: float, sign: fl
 
 
 def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
-                      z_cols, s: float, sign: float, q: int) -> None:
+                      z_cols, s: float, sign: float) -> None:
     """Postcondition of extend_fibered, on the models of both triples.
 
     Horizontal torsion is unchanged and the vertical part is the isotropy
-    action of the fiber directions scaled by 1/sqrt(|1+s|); for a 1-dim
-    fiber the full closed forms of the extended torsion and curvature hold.
+    action of the fiber directions z_cols scaled by 1/sqrt(|1+s|) (the
+    O'Neill part); for a 1-dim fiber the full closed forms of the extended
+    torsion and curvature hold.
     Tolerances are 1e-9 of max|tau| and of max|rbar| of the extension, so
     that they hold alike for a scaled form.
     """
@@ -465,7 +376,7 @@ def _verify_extension(base: ReductiveTriple, extended: ReductiveTriple,
     # tau_hat(x, y, w_a) = -<rho_a x, y> / sqrt(|1+s|)
     check_close(model.tau[:n, :n, n:], -rhos.transpose(2, 1, 0) / denom, tol_t,
                 err_msg="vertical torsion wrong")
-    if q == 1:
+    if z_cols.shape[1] == 1:
         if not np.max(np.abs(model.tau[:, n:, n:])) < tol_t:
             raise AssertionError("torsion has a vertical-vertical part")
         rho = rhos[0]

@@ -12,7 +12,8 @@ parameter.
 
 Every name a module exports in __all__ is used by the library, by the
 benchmark or by the acceptance criteria.  An export only unit tests call
-is test code; move it into the tests that use it, or delete it.
+is test code; move it into the tests that use it (the paper's checks are in
+tests/paper_checks.py), or delete it.
 
 No `assert` statement is left in src/: python -O strips them, so an
 invariant raises AssertionError explicitly instead.
@@ -151,16 +152,6 @@ def test_geometry_allowlist_names_real_parameters():
     assert GEOMETRY_PARAMETERS | REGISTRY_PARAMETERS <= set(everything)
 
 
-# Lab functions that check a claim of the paper and that only tests call.
-PAPER_CHECKS = {
-    "catalog.berger_consistency",
-    "catalog.quaternionic_hopf",
-    "catalog.round_parameter",
-    "jacobi.trace_free_part",
-    "reductive.check_chsc_equivalences",
-}
-
-
 def exports():
     """{module: its __all__} for every module of the package."""
     out = {}
@@ -199,14 +190,7 @@ def unused_exports():
 
 
 def test_every_export_is_used_outside_unit_tests():
-    assert sorted(set(unused_exports()) - PAPER_CHECKS) == []
-
-
-def test_paper_checks_are_real_exports():
-    modules = exports()
-    assert all(name in modules.get(module, ()) for module, _, name in
-               (check.partition(".") for check in PAPER_CHECKS))
-    assert PAPER_CHECKS <= set(unused_exports())
+    assert unused_exports() == []
 
 
 def test_no_assert_statement_in_src():

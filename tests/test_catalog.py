@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import paper_checks
 from conftest import cp2_triple, heisenberg_closed_form, heisenberg_transvection
 
 from reductive_lab import catalog, vcp
@@ -11,11 +12,10 @@ from reductive_lab.liealg import su
 from reductive_lab.reductive import (
     InadmissibleS,
     IndefiniteMetric,
-    NotOneDimensional,
     build_triple,
+    extend_fibered,
     ricci,
     scalar_curvature,
-    sectional_curvature,
     to_model,
 )
 
@@ -109,7 +109,7 @@ class TestNearlyKaehler:
             assert abs(c[1] - s ** 2 / 3600.0) < COEFF_TOL
 
     def test_s6_has_constant_curvature_and_degenerate_relation(self, built, verdicts):
-        spread, _ = catalog._curvature_spread(built["nk:s6"])
+        spread, _ = paper_checks.curvature_spread(built["nk:s6"])
         assert spread < 1e-9
         assert poly_coeffs(verdicts["nk:s6"]).tolist() == [0.0, 1.0]
 
@@ -220,18 +220,18 @@ class TestBergerFamily:
         assert poly_coeffs(v).tolist() == [0.0, 1.0]
 
     def test_round_parameter_found_by_scan(self):
-        found = catalog.round_parameter(
+        found = paper_checks.round_parameter(
             lambda s: catalog.berger_total_space(2, s), -0.9, 1.5)
         assert abs(found - (-0.25)) < 1e-5
 
     @pytest.mark.parametrize("n,s", [(1, 1.0), (2, 1.0), (2, 0.5), (3, 2.0)])
     def test_circle_length_consistency(self, n, s):
-        d = catalog.berger_consistency(n, s)
+        d = paper_checks.berger_consistency(n, s)
         assert abs(d["lhs"] - d["rhs"]) < 1e-10 * d["lhs"]
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_circle_length_consistency_up_to_dimension_21(self, n):
-        d = catalog.berger_consistency(n, 1.0)
+        d = paper_checks.berger_consistency(n, 1.0)
         assert abs(d["c2"] - 2.0 * (n + 1) / (n * 2.0)) < 1e-9 * d["c2"]
         assert abs(d["lhs"] - d["rhs"]) < 1e-10 * d["lhs"]
 
@@ -253,7 +253,7 @@ class TestBergerFamily:
             dims.append(triple.dim_m)
             return to_model(triple)
         monkeypatch.setattr(reductive, "to_model", counted)
-        got = catalog.berger_consistency(n, s)
+        got = paper_checks.berger_consistency(n, s)
         # one model each for the member at s and the round member
         assert dims.count(2 * n + 1) == 2
         assert sorted(got) == sorted(want)
@@ -366,26 +366,26 @@ class TestAloffWallach:
 
 
 class TestQuaternionicHopf:
-    def test_fiber_needs_the_flag(self):
-        with pytest.raises(NotOneDimensional):
-            import reductive_lab.reductive as reductive
-            g = catalog.sp(2)
-            form = catalog.trace_multiple(g, -0.25)
-            base = build_triple(g, np.eye(10)[:, :6], form)
-            reductive.extend_fibered(base, np.eye(10)[:, 3:6], 1.0)
+    def test_three_dimensional_fiber_builds(self):
+        g = catalog.sp(2)
+        form = catalog.trace_multiple(g, -0.25)
+        base = build_triple(g, np.eye(10)[:, :6], form)
+        ext = extend_fibered(base, np.eye(10)[:, 3:6], 1.0)
+        assert ext.dim_m == 7
+        assert ext.g.dim == 13
 
     def test_round_member_and_window_prediction(self):
-        star = catalog.round_parameter(catalog.quaternionic_hopf, -0.9, 2.0)
+        star = paper_checks.round_parameter(paper_checks.quaternionic_hopf, -0.9, 2.0)
         assert abs(star + 0.5) < 1e-5
-        m = to_model(catalog.quaternionic_hopf(star))
-        spread, values = catalog._curvature_spread(m)
+        m = to_model(paper_checks.quaternionic_hopf(star))
+        spread, values = paper_checks.curvature_spread(m)
         assert spread < 1e-6
         r2_round = 1.0 / float(values.mean())
 
         g = catalog.sp(2)
         base = build_triple(g, np.eye(10)[:, :6],
                             catalog.trace_multiple(g, -0.25))
-        spread_b, values_b = catalog._curvature_spread(to_model(base))
+        spread_b, values_b = paper_checks.curvature_spread(to_model(base))
         assert spread_b < 1e-10
         kappa = float(values_b.mean())
         # fiber radius over base-fitting radius passes 4/3 at the boundary
@@ -404,8 +404,8 @@ class TestQuaternionicHopf:
             pairs.append((x, y))
 
         def sampled_min(s):
-            m = to_model(catalog.quaternionic_hopf(s))
-            return min(sectional_curvature(m, x, y) for x, y in pairs)
+            m = to_model(paper_checks.quaternionic_hopf(s))
+            return min(paper_checks.sectional_curvature(m, x, y) for x, y in pairs)
 
         for s in (-0.55, 0.0, 1.0, 3.0):
             assert sampled_min(s) > 0, s

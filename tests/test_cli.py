@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,15 +39,31 @@ def run(capsys, *argv):
 
 class TestTokens:
     def test_rational_spellings(self):
-        assert cli._token(1.25) == "1.25"
-        assert cli._token(1.0 / 36.0) == "1/36"
-        assert cli._token(30.000000000000007) == "30"
-        assert cli._token(-0.625) == "-0.625"
-        assert cli._token(0.0) == "0"
-        assert cli._token(8.0 / 3.0) == "8/3"
+        assert cli._token(1.25, 1.0) == "1.25"
+        assert cli._token(1.0 / 36.0, 1.0) == "1/36"
+        assert cli._token(30.000000000000007, 1.0) == "30"
+        assert cli._token(-0.625, 1.0) == "-0.625"
+        assert cli._token(0.0, 1.0) == "0"
+        assert cli._token(8.0 / 3.0, 1.0) == "8/3"
 
     def test_float_passthrough(self):
-        assert cli._token(0.123456789123) == 0.123456789123
+        assert cli._token(0.123456789123, 1.0) == 0.123456789123
+
+    def test_snapping_is_relative_to_the_unit(self):
+        # within 1e-9 of 0, but not within 1e-9 of its own unit
+        assert cli._token(1e-16, 1.0) == "0"
+        assert cli._token(1e-16, 1e-16) == 1e-16
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-5, 1.0, 1e5])
+    def test_heisenberg_reports_its_true_coefficients(self, capsys, c):
+        # relation lambda^3 + c^2 lambda and scalar curvature -c^2 at n = 2
+        code, out, _ = run(capsys, "minpoly", "heisenberg:n=2,c=%r" % c, "--json")
+        assert code == 0
+        report = json.loads(out)
+        tokens = report["ljr"]["coefficients"]
+        assert [tokens[0], tokens[1], tokens[3]] == ["1", "0", "0"]
+        assert abs(float(Fraction(tokens[2])) - c * c) <= 1e-12 * c * c
+        assert abs(float(Fraction(report["scalar_curvature"])) + c * c) <= 1e-12 * c * c
 
 
 class TestMinpoly:

@@ -12,10 +12,11 @@ import re
 import tracemalloc
 
 import numpy as np
+import paper_checks
 import pytest
 from conftest import minus_half_trace, reference_holonomy_residual, upper_entries
 
-from reductive_lab import catalog, reductive
+from reductive_lab import reductive
 from reductive_lab.catalog import (_berger_base, entries, entry, flag_manifold, heisenberg_model,
                                    rescale_model)
 from reductive_lab.liealg import (BilinearForm, DegenerateRestriction, DimensionMismatch,
@@ -358,5 +359,5 @@ def test_catalog_models_are_built_once_per_triple(monkeypatch):
         return real(triple)
 
     monkeypatch.setattr(reductive, "to_model", counting)
-    catalog.berger_consistency(2, 0.5)
+    paper_checks.berger_consistency(2, 0.5)
     assert len(built) == len({id(triple) for triple in built}) == 3

@@ -11,8 +11,13 @@ the metric by t:
 each with the m rows given and omitted.  Every run keeps the exit code,
 torsion class and relation order of the file as written; the relation
 coefficients move as a_k t^(-(deg-k)/2) and the scalar curvature as 1/t.
-Reports spell a value within 1e-9 of a small rational as that rational, so
-both are compared within 1e-7 of the larger of 1 and the expected value.
+Reports spell a value within 1e-9 units of a small rational as that
+rational, the unit being the model's curvature scale for the scalar
+curvature and its ((deg-k)/2)-th power for a_k; so both are compared
+within 1e-7 of the expected value, at every t.
+
+A file whose isotropy and m rows do not span g, because rows are dropped
+or repeated, exits 2 as NotReductive.
 """
 
 import contextlib
@@ -105,7 +110,7 @@ def value(token) -> float:
 
 
 def close(got, want) -> bool:
-    return abs(got - want) <= 1e-7 * max(1.0, abs(want))
+    return abs(got - want) <= 1e-7 * abs(want)
 
 
 @pytest.mark.parametrize("with_m", [True, False], ids=["m given", "m omitted"])
@@ -127,3 +132,24 @@ def test_custom_report_is_invariant(written, tmp_path, ident, how, with_m):
         got = [value(c) for c in report["ljr"]["coefficients"]]
         expected = [value(c) * t ** (-p / 2) for p, c in enumerate(want["ljr"]["coefficients"])]
         assert all(close(g, e) for g, e in zip(got, expected)), (got, expected)
+
+
+# (id, rows, the rows kept): too few m or isotropy rows, or a repeated one
+NOT_SPANNING = [("nk:flag", "m", slice(4)), ("berger:n=2,s=1", "m", slice(-1)),
+                ("nk:flag", "isotropy", slice(-1)), ("np:v3", "isotropy", slice(-1)),
+                ("berger:n=2,s=1", "isotropy", slice(-1)), ("np:spin7-g2", "m", slice(5)),
+                ("nk:flag", "m", slice(-1)), ("np:v3", "m", slice(-1)),
+                ("nk:flag", "isotropy", [0, 0])]
+
+
+@pytest.mark.parametrize("ident, rows, kept", NOT_SPANNING,
+                         ids=["%s-%s%s" % (i, r, "[:%d]" % k.stop if isinstance(k, slice) else k)
+                              for i, r, k in NOT_SPANNING])
+def test_custom_rejects_a_triple_that_does_not_span_g(tmp_path, ident, rows, kept):
+    data = custom_json(entry(ident).build().triple, ident)
+    data[rows] = np.asarray(data[rows])[kept].tolist()
+    code, report, err = run_custom(data, tmp_path)
+    assert (code, report) == (2, None)
+    error = json.loads(err)["error"]
+    assert error["type"] == "NotReductive"
+    assert error["message"].startswith("h and m do not span g")

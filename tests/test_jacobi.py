@@ -15,6 +15,7 @@ from conftest import (cp2_triple, heisenberg_closed_form,
                       round_three_sphere, unit_samples)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import trace_free_part
 
 from reductive_lab import catalog, jacobi
 from reductive_lab.algebra import (RESIDUAL_TOL, Polynomial, operator_on_symmetric,
@@ -24,8 +25,7 @@ from reductive_lab.jacobi import (InsufficientSamples, JacobiFamily,
                                   PolarizationRankDeficient, check_ljr,
                                   component_split, isotropy_invariance_check,
                                   minimal_ljr, sample_vectors, t_apply,
-                                  trace_free_part, universal_jr,
-                                  verify_twistor)
+                                  universal_jr, verify_twistor)
 from reductive_lab.reductive import (InfinitesimalModel, jacobi_operator,
                                      ricci, scalar_curvature, to_model)
 

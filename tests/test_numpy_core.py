@@ -22,8 +22,11 @@ SRC = ROOT / "src"
 
 
 def _python(*args):
+    """A child interpreter that imports the package from src/ and the paper
+    checks from tests/."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(ROOT / "tests"),
+                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=300)
 
@@ -97,6 +100,7 @@ def test_command_loads_neither_scipy_nor_numpy_testing(tmp_path, argv):
 WITHOUT_SCIPY = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from paper_checks import round_parameter
 from reductive_lab import catalog, cli
 from reductive_lab.jacobi import isotropy_invariance_check
 path = sys.argv[1]
@@ -108,7 +112,7 @@ for argv in (["minpoly", "nk:flag"], ["verify", "nk:flag", "--poly", "5/4,1/4"],
         codes[argv[0]] = cli.main(argv + ["--json"])
 triple = catalog.berger_total_space(1, 1.0)
 deviation = isotropy_invariance_check(triple, lambda x: float(x @ x), samples=4)
-star = catalog.round_parameter(lambda s: catalog.berger_total_space(2, s), -0.9, 1.5)
+star = round_parameter(lambda s: catalog.berger_total_space(2, s), -0.9, 1.5)
 print(json.dumps({"codes": codes, "deviation": deviation, "star": star}))
 """
 

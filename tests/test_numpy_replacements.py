@@ -13,6 +13,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+import paper_checks
 from conftest import cp2_triple, heisenberg_transvection
 from reductive_lab import catalog, jacobi
 from reductive_lab.catalog import entries, entry
@@ -129,16 +130,16 @@ def test_isotropy_flows_match_expm(triple):
 
 @pytest.mark.parametrize("build, lo, hi", [
     (lambda s: catalog.berger_total_space(2, s), -0.9, 1.5),
-    (catalog.quaternionic_hopf, -0.9, 2.0),
+    (paper_checks.quaternionic_hopf, -0.9, 2.0),
 ], ids=["berger", "quaternionic-hopf"])
 def test_round_parameter_matches_brent(build, lo, hi):
     optimize = pytest.importorskip("scipy.optimize")
 
     def spread(s):
-        return catalog._curvature_spread(to_model(build(s)))[0]
+        return paper_checks.curvature_spread(to_model(build(s)))[0]
     brent = optimize.minimize_scalar(spread, bounds=(lo, hi), method="bounded",
                                      options={"xatol": 1e-10})
-    assert abs(catalog.round_parameter(build, lo, hi) - brent.x) < 1e-8
+    assert abs(paper_checks.round_parameter(build, lo, hi) - brent.x) < 1e-8
 
 
 def _stencils(n, m):

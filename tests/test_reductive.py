@@ -14,27 +14,23 @@ from conftest import (SU3_H0, SU3_H1, SU3_X01, SU3_X02, SU3_Y01, cp2_triple,
                       round_three_sphere, standard_j, unit_samples)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import (DegeneratePlane, NotComplexStructure, check_chsc_equivalences,
+                          holomorphic_sectional, sectional_curvature)
 
 from reductive_lab.liealg import BilinearForm, su
 from reductive_lab.reductive import (
-    DegeneratePlane,
     IndefiniteMetric,
     InfinitesimalModel,
     InadmissibleS,
     NonInvariantForm,
-    NotComplexStructure,
     NotNormalSubalgebra,
-    NotOneDimensional,
     NotReductive,
     ReductiveTriple,
     build_triple,
-    check_chsc_equivalences,
     extend_fibered,
-    holomorphic_sectional,
     jacobi_operator,
     ricci,
     scalar_curvature,
-    sectional_curvature,
     to_model,
 )
 
@@ -298,13 +294,11 @@ class TestExtendFibered:
         np.testing.assert_allclose(parts[0.5], parts[2.0], atol=1e-10)
         assert np.max(np.abs(parts[0.5])) > 0.1
 
-    def test_higher_fiber_requires_flag(self):
+    def test_higher_fiber_builds(self):
         trip = cp2_triple()
         center = np.zeros((8, 1))
         center[SU3_H0, 0], center[SU3_H1, 0] = 1.0, 2.0
-        with pytest.raises(NotOneDimensional):
-            extend_fibered(trip, center, 1.0)
-        ext = extend_fibered(trip, center, 1.0, allow_higher_fiber=True)
+        ext = extend_fibered(trip, center, 1.0)
         assert ext.dim_m == 7
         assert ext.g.dim == 11
 

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from conftest import (cp2_triple, fubini_study_rbar, reference_jacobi_operator,
                       standard_j, unit_samples)
+from paper_checks import (DegeneratePlane, check_chsc_equivalences, holomorphic_sectional,
+                          sectional_curvature)
 
 from reductive_lab.catalog import entry
-from reductive_lab.reductive import (DegeneratePlane, InfinitesimalModel,
-                                     check_chsc_equivalences, holomorphic_sectional,
-                                     sectional_curvature, to_model)
+from reductive_lab.reductive import InfinitesimalModel, to_model
 from reductive_lab.vcp import appendix_component_checks
 
 # --- the appendix sweep, one sample at a time ---------------------------------
