@@ -46,11 +46,9 @@ __all__ = [
     "sp2_sp1_sphere",
     "spin7_sphere",
     "squashed_s7",
-    "su4_sphere",
     "torsion_block_eigenvalue",
     "cp3_twistor",
     "v1_space",
-    "v3_space",
 ]
 
 
@@ -60,19 +58,6 @@ def _matrix_gram(g: LieAlgebra) -> np.ndarray:
         raise AssertionError("algebra carries no matrix realization")
     stack = np.array(mats)
     return np.einsum("ipq,jqp->ij", stack, stack, optimize=True)  # tr(A_i A_j)
-
-
-def _coords(g: LieAlgebra, mats) -> np.ndarray:
-    """g-coordinates of matrices lying in the span of g.matrices, one column
-    per matrix, from one least-squares solve."""
-    span = np.column_stack([np.asarray(m, float).reshape(-1) for m in g.matrices])
-    targets = np.column_stack([np.asarray(m, float).reshape(-1) for m in mats])
-    coeff, *_ = np.linalg.lstsq(span, targets, rcond=None)
-    residuals = np.linalg.norm(span @ coeff - targets, axis=0)
-    bad = residuals[~(residuals < 1e-9 * np.maximum(1.0, np.linalg.norm(targets, axis=0)))]
-    if bad.size:
-        raise AssertionError("matrix does not lie in the algebra: residual %.3e" % bad[0])
-    return coeff
 
 
 def trace_multiple(g: LieAlgebra, factor: float) -> BilinearForm:
@@ -111,14 +96,6 @@ def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
     return InfinitesimalModel(tau, stored.transpose(3, 0, 2, 1))
 
 
-def _su3_su2_u2():
-    """su(3)+su(2) and the columns of its diagonal u(2): traceless A paired
-    with itself, the center paired with 0."""
-    g = direct_sum(su(3), su(2))
-    e = np.eye(g.dim)
-    return g, np.column_stack([e[0] + e[8], e[1] + e[9], e[6] + e[10], e[6] + 2 * e[7]])
-
-
 def aloff_wallach_n11(s: float) -> InfinitesimalModel:
     """One-parameter family on su(3)+su(2) with u(2) isotropy.
 
@@ -127,8 +104,10 @@ def aloff_wallach_n11(s: float) -> InfinitesimalModel:
     """
     if s in (0.0, -1.0):
         raise InvalidS("s = %g degenerates the family" % s)
-    g, h = _su3_su2_u2()
+    g = direct_sum(su(3), su(2))
     e = np.eye(g.dim)
+    # the diagonal u(2): traceless A paired with itself, the center with 0
+    h = np.column_stack([e[0] + e[8], e[1] + e[9], e[6] + e[10], e[6] + 2 * e[7]])
     gram = _matrix_gram(g)
     b = np.zeros((g.dim, g.dim))
     b[:8, :8] = -0.25 * gram[:8, :8]
@@ -152,42 +131,32 @@ def aloff_wallach_n11(s: float) -> InfinitesimalModel:
 # circle bundles over projective bases
 
 
-def _su_hyperbolic(n: int) -> LieAlgebra:
-    """su(n,1) in the realification of its defining representation.
+def _berger_base(n: int, kappa: int):
+    """(normal base triple on g/u(n), columns of the normal su(n) in u(n)).
 
-    Generator order: su(n) upper-left block, then the u(n) center, then the
-    2n off-block directions.
+    g is su(n+1) (kappa = 1) or su(n,1) (kappa = -1), realified from one
+    generator list: su(n), the u(n) center, then the 2n off-block
+    directions.  The form, -kappa/2 the complex trace, is positive on them.
     """
     d = n + 1
-    mats = [1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)]  # the center
+    mats = [1j * np.diag([1.0] * n + [-float(n)]) / d]  # the center
     for j in range(n):
-        m = np.zeros((d, d), dtype=complex)
-        m[j, n] = m[n, j] = 1.0
-        mats.append(m)
-        m = np.zeros((d, d), dtype=complex)
-        m[j, n], m[n, j] = 1j, -1j
-        mats.append(m)
-    return from_matrix_algebra(su_generators(n, d) + [realify(m) for m in mats])
-
-
-def _berger_base(n: int, kappa: int):
-    """(normal base triple on g/u(n), columns of the normal su(n) in u(n))."""
-    if kappa > 0:
-        g = su(n + 1)
-        center = 1j * np.diag([1.0] * n + [-float(n)]) / (n + 1)
-        k = _coords(g, su_generators(n, n + 1) + [realify(center)])
-        return build_triple(g, k, trace_multiple(g, -0.25)), k[:, :-1]
-    g = _su_hyperbolic(n)
+        for upper, lower in ((1.0, -kappa), (1j, 1j * kappa)):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, n], m[n, j] = upper, lower
+            mats.append(m)
+    g = from_matrix_algebra(su_generators(n, d) + [realify(m) for m in mats])
     k = np.eye(g.dim)[:, : n * n]
-    return build_triple(g, k, trace_multiple(g, 0.25)), k[:, :-1]
+    return build_triple(g, k, trace_multiple(g, -0.25 * kappa)), k[:, :-1]
 
 
 def berger_total_space(n: int, s: float, kappa: int = 1) -> ReductiveTriple:
-    """Circle bundle over the complex projective (kappa > 0) or hyperbolic
-    (kappa < 0) base, as a fibered extension of the normal base triple.
+    """Circle bundle over the complex projective (kappa = 1) or hyperbolic
+    (kappa = -1) base, as a fibered extension of the normal base triple.
 
-    kappa > 0 admits s > -1 and contains the round sphere at
-    s = -(n-1)/(2n); kappa < 0 admits s < -1 only.
+    kappa = 1 admits s > -1, is the normal metric on SU(n+1)/SU(n) at
+    s = 0 and the round sphere at s = -(n-1)/(2n); kappa = -1 admits
+    s < -1 only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -304,22 +273,8 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
     return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
-def v3_space(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
-    """su(3)+su(2) modulo the diagonal u(2); same isotropy columns as the
-    Aloff-Wallach family, the form a Killing multiple."""
-    g, h = _su3_su2_u2()
-    return build_triple(g, h, g.killing_form().scaled(form_scale))
-
-
 # ---------------------------------------------------------------------------
 # negative controls
-
-
-def su4_sphere() -> ReductiveTriple:
-    """su(4) modulo the upper-left su(3): the strict normal structure on the
-    seven-sphere."""
-    g = su(4)
-    return build_triple(g, _coords(g, su_generators(3, 4)), trace_multiple(g, -0.25))
 
 
 def sp2_sp1_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
@@ -387,9 +342,9 @@ _FIXED = {
                        "scal = 21/8 at the -6/5 Killing form"),
     "np:v1": (v1_space, Polynomial([0.0, 1.0, 0.0, 1.0]),
               "irreducible su(2) isotropy, -1/30 Killing form"),
-    "np:v3": (v3_space, Polynomial([0.0, 0.4, 0.0, 1.0]),
+    "np:v3": (lambda: aloff_wallach_n11(1.5), Polynomial([0.0, 0.4, 0.0, 1.0]),
               "diagonal u(2) isotropy, -1/12 Killing form"),
-    "neg:su4-su3": (su4_sphere, None, "relation exists but its coefficient is not 2 scal / 189"),
+    "neg:su4-su3": (lambda: berger_total_space(3, 0.0), None, "relation exists but its coefficient is not 2 scal / 189"),
     "neg:sp2-sp1": (sp2_sp1_sphere, None, "no linear relation; kept as the negative control"),
 }
 

@@ -40,7 +40,8 @@ __all__ = ["main", "build_report", "render_text", "render_markdown"]
 
 def _token(x, unit):
     """Exact string for a float within 1e-9 units of a small rational, else
-    the float.
+    the float.  A float of magnitude 2^53 or more stays a float: it is an
+    integer whose exact digits the float does not carry.
 
     The unit is the size the value has in its model: a power of the
     curvature scale, or 1 for a value without a model.  So a relation or a
@@ -49,7 +50,7 @@ def _token(x, unit):
     ("1/36").  Keeps report tables legible without losing precision.
     """
     x = float(x)
-    if not np.isfinite(x):
+    if not abs(x) < 2.0 ** 53:  # also inf and nan
         return x
     frac = Fraction(x).limit_denominator(3600)
     if abs(float(frac) - x) > 1e-9 * unit:

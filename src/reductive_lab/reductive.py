@@ -84,10 +84,12 @@ class ReductiveTriple:
 
     def check(self) -> None:
         """h and m span g, m is B-orthonormal, and h is B-orthogonal to m
-        with [h, h] in h and [h, m] in m.  The span is the rank of [h | m]
-        with unit columns at 1e-10; the h-checks read h with unit columns,
-        B / max|B| (so m times sqrt(max|B|)) and the brackets / max|c^k_ij|,
-        so a scaled form or rescaled isotropy columns pass or fail alike."""
+        with [h, h] in h and [h, m] in m, else NotReductive.  The span is
+        the rank of [h | m] with unit columns at 1e-10, and m^T B m is I
+        within 1e-10 (1e-10 + 1e-7 on the diagonal); the h-checks read h with
+        unit columns, B / max|B| (so m times sqrt(max|B|)) and the brackets
+        / max|c^k_ij|, so a scaled form or rescaled isotropy columns pass or
+        fail alike."""
         g, m, B = self.g, self.m_basis, self.B
         def unit(a):
             lengths = np.linalg.norm(a, axis=0)
@@ -99,12 +101,13 @@ class ReductiveTriple:
         if both.shape[1] != g.dim or rank != g.dim:
             raise NotReductive("h and m do not span g: dim h + dim m = %d, rank %d, dim g = %d"
                                % (both.shape[1], rank, g.dim))
-        check_close(m.T @ B.matrix @ m, np.eye(self.dim_m), 1e-10,
-                    err_msg="m-basis not B-orthonormal")
+        dev = np.abs(m.T @ B.matrix @ m - np.eye(self.dim_m))
+        if not np.all(dev <= 1e-10 + 1e-7 * np.eye(self.dim_m)):
+            raise NotReductive("m-basis not B-orthonormal: max deviation %.3e" % np.max(dev))
         root = np.sqrt(np.max(np.abs(B.matrix)))
-        if h.shape[1]:
-            check_close(h.T @ B.matrix @ m / root, np.zeros((h.shape[1], self.dim_m)), 1e-10,
-                        err_msg="h and m not B-orthogonal")
+        worst_hb = float(np.max(np.abs(h.T @ B.matrix @ m), initial=0.0)) / root
+        if not worst_hb <= 1e-10:
+            raise NotReductive("h and m not B-orthogonal: residual %.3e" % worst_hb)
         scale = root * (np.max(np.abs(g._upper[3]), initial=0.0) or 1.0)
         worst_hh = float(np.max(np.abs(self.m_component(g.brackets(h, h))), initial=0.0)) / scale
         worst_hm = float(np.max(np.abs(g.brackets(h, m) @ (B.matrix @ h)), initial=0.0)) / scale
@@ -278,9 +281,9 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float) -> ReductiveTrip
 
     The extended algebra is g + k/h with the fiber factor carrying (1/s) B,
     the isotropy is embedded diagonally, and s = 0 returns the normal triple
-    on G/H directly.  Admissible s keeps (1+s) B positive on the fiber
-    directions.  The fiber k/h may have any dimension q; the result is
-    verified by _verify_extension.
+    on G/H in the same frame, base m then fiber.  Admissible s keeps (1+s) B
+    positive on the fiber directions.  The fiber k/h may have any dimension
+    q; the result is verified by _verify_extension.
     """
     g, k_basis, B = triple.g, triple.h_basis, triple.B
     h_normal = np.asarray(h_normal, dtype=float).reshape(g.dim, -1)
@@ -294,9 +297,6 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float) -> ReductiveTrip
         h_proj = h_normal @ np.linalg.pinv(h_normal)
         if np.max(np.abs(v @ h_proj.T - v), initial=0.0) > 1e-9:
             raise NotNormalSubalgebra("[k, h] leaves h")
-
-    if s == 0.0:
-        return build_triple(g, h_normal, B)
 
     # fiber directions: B-orthocomplement of h inside k
     k_gram = k_basis.T @ B.matrix @ k_basis
@@ -316,6 +316,8 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float) -> ReductiveTrip
     if sign * (1.0 + s) <= 0 or s == -1.0:
         raise InadmissibleS("s = %g is outside the admissible range" % s)
     z_cols = orthonormalize(z_cols, B if sign > 0 else B.scaled(-1.0))
+    if s == 0.0:
+        return build_triple(g, h_normal, B, m_basis=np.column_stack([triple.m_basis, z_cols]))
 
     ghat, bhat = _extended_algebra(g, B, z_cols, s, sign)
     d = g.dim

@@ -36,7 +36,6 @@ GEOMETRY_PARAMETERS = {
     "catalog.spin7_sphere(form_scale)",
     "catalog.squashed_s7(form_scale)",
     "catalog.v1_space(form_scale)",
-    "catalog.v3_space(form_scale)",
     "catalog.sp2_sp1_sphere(form_scale)",
 }
 # Set by the catalog registry through builder(**params), which the scan

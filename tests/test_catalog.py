@@ -57,10 +57,12 @@ class TestNormalizationLemma:
             assert abs(scalar_curvature(built[name]) - 30.0) < 1e-9, name
 
     def test_nearly_parallel_scal_at_six_fifths(self):
-        for build in (catalog.spin7_sphere, catalog.squashed_s7,
-                      catalog.v1_space, catalog.v3_space):
+        for build in (catalog.spin7_sphere, catalog.squashed_s7, catalog.v1_space):
             m = to_model(build(form_scale=-6.0 / 5.0))
             assert abs(scalar_curvature(m) - 21.0 / 8.0) < 1e-9
+        # np:v3 is aw:n11,s=1.5 at -1/12 Killing; -6/5 Killing scales the metric by 72/5
+        m = catalog.rescale_model(catalog.aloff_wallach_n11(1.5), 72.0 / 5.0)
+        assert abs(scalar_curvature(m) - 21.0 / 8.0) < 1e-9
 
     def test_standard_np_forms_are_killing_multiples_of_the_preset(self, built):
         # -1/30 K = (1/36)(-6/5 K), so scal multiplies by 36; -1/12 K by 72/5
@@ -199,6 +201,14 @@ class TestNegativeCases:
         np.testing.assert_allclose(poly_coeffs(v), [0, 8.0 / 3.0, 0, 1],
                                    atol=COEFF_TOL)
 
+    def test_fixed_ids_are_built_as_their_family_members(self):
+        for fixed, member in (("neg:su4-su3", "berger:n=3,s=0"), ("np:v3", "aw:n11,s=1.5")):
+            got, want = catalog.entry(fixed).build(), catalog.entry(member).build()
+            assert np.array_equal(got.tau, want.tau) and np.array_equal(got.rbar, want.rbar)
+        # c^2 = 2(n+1)/(n|1+s|) at n = 3, s = 0
+        c2 = catalog.torsion_block_eigenvalue(catalog.entry("neg:su4-su3").build())
+        assert abs(c2 - 8.0 / 3.0) <= 1e-12 * c2
+
 
 class TestBergerFamily:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -278,6 +288,12 @@ class TestBergerFamily:
         v = verdict_of(m)
         np.testing.assert_allclose(poly_coeffs(v), [0, c2, 0, 1],
                                    atol=COEFF_TOL * max(1.0, c2))
+
+    # at s = 0 the frame is the base m, then the fibre, as at every other s
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_normal_member_has_the_fibre_last(self, n):
+        c2 = catalog.torsion_block_eigenvalue(catalog.berger_total_space(n, 0.0).model)
+        assert abs(c2 - 2.0 * (n + 1) / n) <= 1e-12 * c2
 
     def test_admissibility_windows(self):
         with pytest.raises(InadmissibleS):
@@ -495,12 +511,3 @@ class TestRegistry:
     def test_ids_build_the_builders_model_bit_for_bit(self, spelling, build, args):
         got, want = catalog.entry(spelling % args).build(), model_of(build(*args))
         assert np.array_equal(got.tau, want.tau) and np.array_equal(got.rbar, want.rbar)
-
-
-def test_coords_solve_all_columns_and_reject_one_outside_the_algebra():
-    g = su(3)
-    np.testing.assert_allclose(catalog._coords(g, g.matrices[2:5]), np.eye(g.dim)[:, 2:5],
-                               atol=1e-12)
-    inside = g.matrices[0]
-    with pytest.raises(AssertionError, match="does not lie in the algebra"):
-        catalog._coords(g, [inside, np.eye(len(inside))])

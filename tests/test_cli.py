@@ -49,6 +49,16 @@ class TestTokens:
     def test_float_passthrough(self):
         assert cli._token(0.123456789123, 1.0) == 0.123456789123
 
+    @pytest.mark.parametrize("c", [1e30, 1e100])
+    def test_huge_values_print_as_numbers(self, capsys, c):
+        # c^2 is past 2^53: the float carries 16 digits, not those of the integer it equals
+        _, out, _ = run(capsys, "minpoly", "heisenberg:n=2,c=%r" % c, "--json")
+        report = json.loads(out)
+        coefficient, scal = report["ljr"]["coefficients"][2], report["scalar_curvature"]
+        assert type(coefficient) is float and type(scal) is float
+        assert abs(coefficient - c * c) <= 1e-12 * c * c
+        assert abs(scal + c * c) <= 1e-12 * c * c
+
     def test_snapping_is_relative_to_the_unit(self):
         # within 1e-9 of 0, but not within 1e-9 of its own unit
         assert cli._token(1e-16, 1.0) == "0"
@@ -392,6 +402,12 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"]["type"] == "KeyError"
         assert ident in payload["error"]["message"]
+
+    # B is negative on the fibre of su(2,1), so (1+s) B is negative there at s = 0 too
+    def test_normal_hyperbolic_member_is_inadmissible(self, capsys):
+        code, _, err = run(capsys, "minpoly", "berger:n=2,s=0,kappa=-1", "--json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InadmissibleS"
 
     # c^2 overflows the curvature: the relation check reads NaN, which fails
     def test_overflowing_check_fails(self, capsys):

@@ -17,7 +17,8 @@ curvature and its ((deg-k)/2)-th power for a_k; so both are compared
 within 1e-7 of the expected value, at every t.
 
 A file whose isotropy and m rows do not span g, because rows are dropped
-or repeated, exits 2 as NotReductive.
+or repeated, exits 2 as NotReductive; so does one whose m rows are not
+B-orthonormal, or not B-orthogonal to the isotropy.
 """
 
 import contextlib
@@ -153,3 +154,21 @@ def test_custom_rejects_a_triple_that_does_not_span_g(tmp_path, ident, rows, kep
     error = json.loads(err)["error"]
     assert error["type"] == "NotReductive"
     assert error["message"].startswith("h and m do not span g")
+
+
+# nk:flag with m row 0 tilted by 0.3 h_0: as written, m is not B-orthonormal;
+# rescaled to B-length 1, m is orthonormal but not B-orthogonal to h
+@pytest.mark.parametrize("normalized, message", [(False, "m-basis not B-orthonormal"),
+                                                 (True, "h and m not B-orthogonal")])
+def test_custom_rejects_an_m_row_tilted_into_the_isotropy(tmp_path, normalized, message):
+    triple = entry("nk:flag").build().triple
+    data = custom_json(triple, "nk:flag")
+    row = triple.m_basis[:, 0] + 0.3 * triple.h_basis[:, 0]
+    if normalized:
+        row = row / np.sqrt(row @ triple.B.matrix @ row)
+    data["m"][0] = row.tolist()
+    code, report, err = run_custom(data, tmp_path)
+    assert (code, report) == (2, None)
+    error = json.loads(err)["error"]
+    assert error["type"] == "NotReductive"
+    assert error["message"].startswith(message)

@@ -194,7 +194,7 @@ for build in (
     try:
         build()
         messages.append(None)
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         messages.append(str(exc))
 print(json.dumps(messages))
 """

@@ -151,7 +151,7 @@ class TestBuildTriple:
 
     def test_bad_explicit_m_basis(self):
         g = su(2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(NotReductive, match="m-basis not B-orthonormal"):
             ReductiveTriple(g, np.zeros((3, 0)), minus_half_trace(g),
                             2.0 * np.eye(3))
 
