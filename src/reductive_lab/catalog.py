@@ -1,10 +1,14 @@
 """Named example spaces with pinned normalizations.
 
-Every entry is built from an explicit matrix realization of its Lie
-algebra; nothing geometric is tabulated.  The registry rows carry the
-expected relation polynomial (where the normalization determines one) so
-reports can show an expected-vs-computed table.  Registry identifiers
-are the stable CLI names, e.g. ``nk:flag`` or ``berger:n=2,s=1``.
+The Hopf series (the ``berger`` and ``heisenberg`` kinds, and
+``neg:su4-su3``, its member at n = 3, s = 0) is built in closed form from
+its base curvature and the O'Neill term; ``berger_total_space`` keeps its
+Lie route, an extension of the normal triple on su(n+1)/u(n).  Every other
+entry is built from an explicit matrix realization of its Lie algebra.
+The registry rows carry the expected relation polynomial (where the
+normalization determines one) so reports can show an expected-vs-computed
+table.  Registry identifiers are the stable CLI names, e.g. ``nk:flag`` or
+``berger:n=2,s=1``.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from .liealg import (
     su_generators,
 )
 from .reductive import (
+    InadmissibleS,
     InfinitesimalModel,
     ReductiveTriple,
     build_triple,
@@ -34,6 +39,7 @@ from .vcp import InvalidS, g2_sigma
 __all__ = [
     "CatalogEntry",
     "aloff_wallach_n11",
+    "berger_model",
     "berger_total_space",
     "entries",
     "entry",
@@ -73,12 +79,15 @@ def trace_multiple(g: LieAlgebra, factor: float) -> BilinearForm:
 # direct infinitesimal models
 
 
-def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
-    """Heisenberg-type model on R^(2n+1): tau = c J^eta, rbar = c^2 omega x J."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
+def _hopf_model(n: int, kappa: int, c: float) -> InfinitesimalModel:
+    """Circle bundle of the Hopf series on R^(2n+1), fibre last, over the
+    complex space form of curvature sign kappa (1, 0 or -1).
+
+    tau = c J^eta, and on the horizontal space the base curvature plus the
+    O'Neill term, rbar = kappa (A + B + 2C) - c^2 C, where
+    A[i,l,a,b] = d_ia d_lb - d_ib d_la, B[i,l,a,b] = J_ia J_lb - J_ib J_la
+    and C[i,l,a,b] = J_il J_ab; rbar vanishes on the fibre.
+    """
     dim = 2 * n + 1
     j = np.zeros((dim, dim))
     for k in range(n):
@@ -89,11 +98,47 @@ def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
     eta[2 * n] = 1.0
     tau = c * (omega[:, :, None] * eta + omega[None, :, :] * eta[:, None, None]
                + omega.T[:, None, :] * eta[None, :, None])
-    # rbar[i, l, a, b] = c^2 omega[i, l] j[a, b], built in the layout the model
-    # stores (axes l, b, a, i), so that no n^4 array is copied
-    w = (c * c * omega).T  # c ** 2 would raise OverflowError for a huge c
+    # rbar is built in the layout the model stores (axes l, b, a, i), so that
+    # no n^4 array is copied: first the C term, -C = omega x J
+    w = ((c * c - 2 * kappa) * omega).T  # c ** 2 would raise OverflowError for a huge c
     stored = np.multiply(w[:, None, None, :], j.T[None, :, :, None], order="C")
+    if kappa:
+        # A and B have one entry per horizontal pair (i, l); J e_i = +-e_(i^1)
+        i, l = np.divmod(np.arange(4 * n * n), 2 * n)
+        ji, jl = i ^ 1, l ^ 1
+        sign = kappa * j[i, ji] * j[l, jl]
+        stored[l, l, i, i] += kappa
+        stored[l, i, l, i] -= kappa
+        stored[l, jl, ji, i] += sign
+        stored[l, ji, jl, i] -= sign
     return InfinitesimalModel(tau, stored.transpose(3, 0, 2, 1))
+
+
+def heisenberg_model(n: int, c: float) -> InfinitesimalModel:
+    """Heisenberg-type model on R^(2n+1): tau = c J^eta, rbar = c^2 omega x J."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    return _hopf_model(n, 0, c)
+
+
+def berger_model(n: int, s: float, kappa: int = 1) -> InfinitesimalModel:
+    """Circle bundle over the complex projective (kappa = 1) or hyperbolic
+    (kappa = -1) base in closed form, with c^2 = 2(n+1)/(n|1+s|).
+
+    kappa = 1 admits s > -1, is the normal metric on SU(n+1)/SU(n) at
+    s = 0 and the round sphere at s = -(n-1)/(2n); kappa = -1 admits
+    s < -1 only.  berger_total_space builds the kappa = 1 member through
+    the Lie route.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be 1 or -1, got %r" % (kappa,))
+    if not kappa * (1.0 + s) > 0:
+        raise InadmissibleS("s = %g is outside the admissible range" % s)
+    return _hopf_model(n, kappa, (2.0 * (n + 1) / (n * abs(1.0 + s))) ** 0.5)
 
 
 def aloff_wallach_n11(s: float) -> InfinitesimalModel:
@@ -150,17 +195,14 @@ def _berger_base(n: int, kappa: int):
     return build_triple(g, k, trace_multiple(g, -0.25 * kappa)), k[:, :-1]
 
 
-def berger_total_space(n: int, s: float, kappa: int = 1) -> ReductiveTriple:
-    """Circle bundle over the complex projective (kappa = 1) or hyperbolic
-    (kappa = -1) base, as a fibered extension of the normal base triple.
-
-    kappa = 1 admits s > -1, is the normal metric on SU(n+1)/SU(n) at
-    s = 0 and the round sphere at s = -(n-1)/(2n); kappa = -1 admits
-    s < -1 only.
+def berger_total_space(n: int, s: float) -> ReductiveTriple:
+    """Circle bundle over the complex projective base as a fibered extension
+    of the normal base triple on su(n+1)/u(n): the Lie route of
+    berger_model(n, s), for s > -1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base, h_cols = _berger_base(n, kappa)
+    base, h_cols = _berger_base(n, 1)
     return extend_fibered(base, h_cols, s)
 
 
@@ -168,12 +210,15 @@ def torsion_block_eigenvalue(model: InfinitesimalModel) -> float:
     """The constant nonzero eigenvalue of -tau_x^2, x the last basis
     direction (the fiber direction of an extended triple).
 
-    Raises if the nonzero spectrum is not constant.
+    Raises if the nonzero spectrum is not constant, or if its top is at most
+    1e-8 max|tau|^2 or 1e-24 of the curvature scale: the second floor reads
+    a torsion of rounding noise (a symmetric space) as vanishing.  Both
+    floors scale with the metric.
     """
     t = model.tau_matrix(np.eye(model.n)[-1])
     eigs = np.linalg.eigvalsh(-t @ t)
     top = float(eigs[-1])
-    if not top > 1e-8:
+    if not top > max(1e-8 * np.max(np.abs(model.tau)) ** 2, 1e-24 * model.curvature_scale):
         raise AssertionError("tau_x vanishes")
     block = eigs[eigs > 1e-8 * top]
     if not float(block.max() - block.min()) < 1e-8 * top:
@@ -344,13 +389,13 @@ _FIXED = {
               "irreducible su(2) isotropy, -1/30 Killing form"),
     "np:v3": (lambda: aloff_wallach_n11(1.5), Polynomial([0.0, 0.4, 0.0, 1.0]),
               "diagonal u(2) isotropy, -1/12 Killing form"),
-    "neg:su4-su3": (lambda: berger_total_space(3, 0.0), None, "relation exists but its coefficient is not 2 scal / 189"),
+    "neg:su4-su3": (lambda: berger_model(3, 0.0), None, "relation exists but its coefficient is not 2 scal / 189"),
     "neg:sp2-sp1": (sp2_sp1_sphere, None, "no linear relation; kept as the negative control"),
 }
 
 # parametric kinds: {kind: (builder, lead token, {parameter: (type, required)}, note)}
 _PARAMETRIC = {
-    "berger": (berger_total_space, None,
+    "berger": (berger_model, None,
                {"n": (int, True), "s": (float, True), "kappa": (int, False)},
                "fiber over the projective base; relation lambda (lambda^2 + c^2) "
                "with c^2 read off the torsion"),

@@ -1,7 +1,8 @@
 import numpy as np
 
+from reductive_lab.catalog import _berger_base, berger_total_space
 from reductive_lab.liealg import BilinearForm, LieAlgebra, su
-from reductive_lab.reductive import InfinitesimalModel, build_triple
+from reductive_lab.reductive import InfinitesimalModel, build_triple, extend_fibered
 
 SU3_X01, SU3_Y01, SU3_X02, SU3_Y02 = 0, 1, 2, 3
 SU3_X12, SU3_Y12, SU3_H0, SU3_H1 = 4, 5, 6, 7
@@ -135,6 +136,28 @@ def heisenberg_closed_form(n, c):
     )
     rbar = c ** 2 * np.einsum("ij,ab->ijab", omega, j)
     return InfinitesimalModel(tau, rbar)
+
+
+def berger_lie_route(n, s, kappa):
+    """The Berger space of berger_model(n, s, kappa) through the Lie route:
+    the fibered extension of the normal triple on su(n+1)/u(n) or
+    su(n,1)/u(n)."""
+    if kappa == 1:
+        return berger_total_space(n, s)
+    return extend_fibered(*_berger_base(n, kappa), s)
+
+
+def hopf_lie_triple(ident):
+    """The Lie route triple of a registry id that the catalog builds in
+    closed form: a berger id, or neg:su4-su3 as berger:n=3,s=0; None for
+    any other id."""
+    if ident == "neg:su4-su3":
+        ident = "berger:n=3,s=0"
+    kind, _, rest = ident.partition(":")
+    if kind != "berger":
+        return None
+    params = dict(part.split("=") for part in rest.split(","))
+    return berger_lie_route(int(params["n"]), float(params["s"]), int(params.get("kappa", 1)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

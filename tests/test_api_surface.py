@@ -41,7 +41,7 @@ GEOMETRY_PARAMETERS = {
 # Set by the catalog registry through builder(**params), which the scan
 # cannot match to the builder by name.
 REGISTRY_PARAMETERS = {
-    "catalog.berger_total_space(kappa)",
+    "catalog.berger_model(kappa)",
 }
 CALLERS = (sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])

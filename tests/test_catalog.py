@@ -1,14 +1,16 @@
 """Catalog entries against their pinned normalizations and family laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import paper_checks
-from conftest import cp2_triple, heisenberg_closed_form, heisenberg_transvection
+from conftest import berger_lie_route, cp2_triple, heisenberg_closed_form, heisenberg_transvection
 
 from reductive_lab import catalog, vcp
 from reductive_lab.algebra import Polynomial
 from reductive_lab.jacobi import JacobiFamily, check_ljr, minimal_ljr
-from reductive_lab.liealg import su
+from reductive_lab.liealg import LieAlgebra, su
 from reductive_lab.reductive import (
     InadmissibleS,
     IndefiniteMetric,
@@ -202,9 +204,12 @@ class TestNegativeCases:
                                    atol=COEFF_TOL)
 
     def test_fixed_ids_are_built_as_their_family_members(self):
-        for fixed, member in (("neg:su4-su3", "berger:n=3,s=0"), ("np:v3", "aw:n11,s=1.5")):
-            got, want = catalog.entry(fixed).build(), catalog.entry(member).build()
-            assert np.array_equal(got.tau, want.tau) and np.array_equal(got.rbar, want.rbar)
+        for fixed, member, built in (
+                ("neg:su4-su3", "berger:n=3,s=0", catalog.berger_model(3, 0.0)),
+                ("np:v3", "aw:n11,s=1.5", catalog.aloff_wallach_n11(1.5))):
+            got = catalog.entry(fixed).build()
+            for want in (catalog.entry(member).build(), built):
+                assert np.array_equal(got.tau, want.tau) and np.array_equal(got.rbar, want.rbar)
         # c^2 = 2(n+1)/(n|1+s|) at n = 3, s = 0
         c2 = catalog.torsion_block_eigenvalue(catalog.entry("neg:su4-su3").build())
         assert abs(c2 - 8.0 / 3.0) <= 1e-12 * c2
@@ -282,7 +287,7 @@ class TestBergerFamily:
 
     @pytest.mark.parametrize("s", [-1.5, -3.0])
     def test_hyperbolic_base_relation(self, s):
-        m = to_model(catalog.berger_total_space(2, s, kappa=-1))
+        m = berger_lie_route(2, s, -1).model
         c2 = catalog.torsion_block_eigenvalue(m)
         assert abs(c2 - abs(2.0 * 3 / (2 * (1.0 + s)))) < 1e-9 * c2
         v = verdict_of(m)
@@ -299,9 +304,74 @@ class TestBergerFamily:
         with pytest.raises(InadmissibleS):
             catalog.berger_total_space(2, -2.0)
         with pytest.raises(InadmissibleS):
-            catalog.berger_total_space(2, 1.0, kappa=-1)
+            berger_lie_route(2, 1.0, -1)
         with pytest.raises(InadmissibleS):
             catalog.berger_total_space(2, -1.0)
+
+
+# (kappa, s) of the closed form against the Lie route, for every n = 1..10
+ORACLE_CASES = [(1, 0.0), (1, 1.0), (1, 3.7), (1, -0.9), (-1, -1.1), (-1, -1.5), (-1, -7.0)]
+
+
+class TestClosedFormBerger:
+    """berger_model against the Lie route, on what does not depend on the
+    orthonormal frame."""
+
+    @pytest.mark.parametrize("kappa,s", ORACLE_CASES)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_lie_route(self, n, kappa, s):
+        closed, lie = catalog.berger_model(n, s, kappa), berger_lie_route(n, s, kappa).model
+        scale = lie.curvature_scale
+        assert abs(closed.curvature_scale - scale) <= 1e-12 * scale
+
+        def spectrum(m):  # rbar as a symmetric operator on pairs
+            return np.linalg.eigvalsh(m.rbar.reshape(m.n ** 2, m.n ** 2))
+        assert np.max(np.abs(spectrum(closed) - spectrum(lie))) <= 1e-12 * scale
+        norm = np.linalg.norm(lie.tau)
+        assert abs(np.linalg.norm(closed.tau) - norm) <= 1e-12 * norm
+        assert abs(scalar_curvature(closed) - scalar_curvature(lie)) <= 1e-12 * scale * n * n
+        c2 = catalog.torsion_block_eigenvalue(lie)
+        assert abs(catalog.torsion_block_eigenvalue(closed) - c2) <= 1e-12 * c2
+        got, want = verdict_of(closed), verdict_of(lie)
+        assert got.exists == want.exists
+        np.testing.assert_allclose(poly_coeffs(got), poly_coeffs(want), rtol=0, atol=1e-9 * c2)
+
+    @pytest.mark.parametrize("n,s,kappa", [(2, -2.0, 1), (2, 1.0, -1), (2, -1.0, 1),
+                                           (0, 1.0, 1)])
+    def test_rejects_what_the_lie_route_rejects(self, n, s, kappa):
+        with pytest.raises(ValueError) as lie:
+            berger_lie_route(n, s, kappa)
+        with pytest.raises(ValueError) as closed:
+            catalog.berger_model(n, s, kappa)
+        assert (type(closed.value), str(closed.value)) == (type(lie.value), str(lie.value))
+
+    @pytest.mark.parametrize("kappa", [2, 0, -2])
+    def test_rejects_kappa_other_than_one_or_minus_one(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be 1 or -1, got %d" % kappa):
+            catalog.berger_model(2, 1.0, kappa)
+
+    def test_rejects_an_undefined_s(self):
+        with pytest.raises(InadmissibleS, match="s = nan is outside the admissible range"):
+            catalog.berger_model(2, float("nan"))
+
+    def test_registry_builds_no_lie_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Lie algebra was built")
+        monkeypatch.setattr(LieAlgebra, "__init__", refuse)
+        for name in ("berger:n=2,s=1", "berger:n=3,s=-1.5,kappa=-1", "neg:su4-su3"):
+            assert catalog.entry(name).build().triple is None, name
+        with pytest.raises(AssertionError, match="a Lie algebra was built"):
+            catalog.entry("nk:flag").build()
+
+    def test_traced_peak_is_a_few_curvature_arrays(self):
+        build = catalog.entry("berger:n=10,s=1").build
+        tracemalloc.start()
+        try:
+            model = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * model.rbar.nbytes
 
 
 class TestHeisenberg:
@@ -448,6 +518,18 @@ class TestTorsionBlock:
         with pytest.raises(AssertionError):
             catalog.torsion_block_eigenvalue(to_model(cp2_triple()))
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+    def test_heisenberg_at_any_torsion_scale(self, c):
+        got = catalog.torsion_block_eigenvalue(catalog.heisenberg_model(2, c))
+        assert abs(got - c * c) <= 1e-12 * c * c
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_rescaled_berger_at_any_metric_scale(self, t):
+        model = catalog.berger_total_space(2, 1.0).model
+        want = catalog.torsion_block_eigenvalue(model) / t
+        got = catalog.torsion_block_eigenvalue(catalog.rescale_model(model, t))
+        assert abs(got - want) <= 1e-12 * want
+
 
 class TestRegistry:
     def test_names_are_unique(self, registry):
@@ -503,8 +585,8 @@ class TestRegistry:
 
     # the id shapes of the benchmark workloads and the golden reports
     @pytest.mark.parametrize("spelling,build,args", [
-        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_total_space, (2, 0.6180339887498949, 1)),
-        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_total_space, (3, -1.5, -1)),
+        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_model, (2, 0.6180339887498949, 1)),
+        ("berger:n=%d,s=%r,kappa=%d", catalog.berger_model, (3, -1.5, -1)),
         ("heisenberg:n=%d,c=%r", catalog.heisenberg_model, (3, 0.6039)),
         ("aw:n11,s=%r", catalog.aloff_wallach_n11, (0.7320508075688772,)),
     ])

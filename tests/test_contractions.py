@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SU3_X01, SU3_X02, minus_half_trace, upper_entries
+from conftest import SU3_X01, SU3_X02, hopf_lie_triple, minus_half_trace, upper_entries
 
 from reductive_lab import catalog, liealg
 from reductive_lab.catalog import entries, entry
@@ -169,10 +169,13 @@ class TestBrackets:
 class TestToModel:
     @pytest.mark.parametrize("ident", MODEL_IDS)
     def test_tau_and_rbar_match_pair_loops(self, models, ident):
-        model = models[ident]
-        if model.triple is None:
+        # the registry builds the Hopf series in closed form; its ids with a
+        # Lie route are checked on that route's triple
+        triple = models[ident].triple or hopf_lie_triple(ident)
+        if triple is None:
             pytest.skip("built directly, not through to_model")
-        tau, rbar = ref_tau_rbar(model.triple)
+        model = triple.model
+        tau, rbar = ref_tau_rbar(triple)
         np.testing.assert_allclose(model.tau, tau, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.rbar, rbar, rtol=0, atol=1e-12)
 
