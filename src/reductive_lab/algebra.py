@@ -2,8 +2,9 @@
 
 Polynomials with trailing-zero trimming, the canonical splitting of a
 skew-symmetric operator into its kernel and invariant 2m-planes, the
-matrix of a linear map on symmetric matrices, and the fixed-seed unit
-samples that the checks draw.  All arithmetic is double precision; exact
+matrix of a linear map on symmetric matrices, the fixed-seed unit
+samples that the checks draw, and the one bound on the size of a chunked
+temporary.  All arithmetic is double precision; exact
 rational input is converted once on entry.
 """
 
@@ -17,6 +18,7 @@ __all__ = [
     "RESIDUAL_TOL",
     "GAP_TOL",
     "ZERO_TOL",
+    "CHUNK_DOUBLES",
     "NotSkew",
     "DegenerateSpectrum",
     "Polynomial",
@@ -28,11 +30,21 @@ __all__ = [
     "operator_on_symmetric",
     "orthonormal_pairs",
     "unit_rows",
+    "chunks",
 ]
 
 RESIDUAL_TOL = 1e-8
 GAP_TOL = 1e-6
 ZERO_TOL = 1e-10
+CHUNK_DOUBLES = 1 << 15
+
+
+def chunks(count: int, per_item: int) -> list:
+    """Consecutive slices of range(count), each of at most CHUNK_DOUBLES
+    doubles at per_item doubles an item (and at least one item): the one
+    bound on the temporaries of every loop that works in chunks."""
+    step = max(1, CHUNK_DOUBLES // max(1, per_item))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def check_close(actual, desired, atol: float, err_msg: str = "") -> None:

@@ -237,12 +237,12 @@ def flag_manifold(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     return build_triple(g, e[:, 6:8], g.killing_form().scaled(form_scale))
 
 
-def s3_x_s3(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
+def s3_x_s3() -> ReductiveTriple:
     """Triple product of su(2) modulo the diagonal."""
     g = direct_sum(su(2), su(2), su(2))
     e = np.eye(g.dim)
     h = np.column_stack([e[k] + e[3 + k] + e[6 + k] for k in range(3)])
-    return build_triple(g, h, g.killing_form().scaled(form_scale))
+    return build_triple(g, h, g.killing_form().scaled(-1.0 / 12.0))
 
 
 def cp3_twistor(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
@@ -260,7 +260,7 @@ def cp3_twistor(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     return build_triple(g, h, g.killing_form().scaled(form_scale))
 
 
-def s6_round(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
+def s6_round() -> ReductiveTriple:
     """Stabilizer chain so(7) -> g2 -> su(3); the quotient is the round
     six-sphere with its non-symmetric reductive structure."""
     base = so(7)
@@ -275,31 +275,31 @@ def s6_round(form_scale: float = -1.0 / 12.0) -> ReductiveTriple:
     su3_cols = stabilizer_subalgebra(g2, g2.matrices, axis)
     if su3_cols.shape[1] != 8:
         raise AssertionError("su(3) stabilizer has dimension %d, not 8" % su3_cols.shape[1])
-    return build_triple(g2, su3_cols, g2.killing_form().scaled(form_scale))
+    return build_triple(g2, su3_cols, g2.killing_form().scaled(-1.0 / 12.0))
 
 
 # ---------------------------------------------------------------------------
 # nearly parallel presets (seven-dimensional, scal = 21/8 at -6/5 Killing)
 
 
-def spin7_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
+def spin7_sphere() -> ReductiveTriple:
     """so(7) modulo g2: the round seven-sphere."""
     g = so(7)
     g2_cols = stabilizer_subalgebra(g, g.matrices, g2_sigma().values)
-    return build_triple(g, g2_cols, g.killing_form().scaled(form_scale))
+    return build_triple(g, g2_cols, g.killing_form().scaled(-6.0 / 5.0))
 
 
-def squashed_s7(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
+def squashed_s7() -> ReductiveTriple:
     """sp(2)+sp(1) modulo sp(1)+sp(1), the second block paired with the
     extra factor."""
     g = direct_sum(sp(2), sp(1))
     e = np.eye(g.dim)
     h = np.column_stack([e[0], e[1], e[2],
                          e[3] + e[10], e[4] + e[11], e[5] + e[12]])
-    return build_triple(g, h, g.killing_form().scaled(form_scale))
+    return build_triple(g, h, g.killing_form().scaled(-6.0 / 5.0))
 
 
-def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
+def v1_space() -> ReductiveTriple:
     """so(5) = sp(2) modulo the irreducible so(3) = su(2).
 
     so(3) acts on the traceless symmetric 3 x 3 matrices, R^5, by
@@ -315,18 +315,18 @@ def v1_space(form_scale: float = -1.0 / 30.0) -> ReductiveTriple:
     h = stabilizer_subalgebra(g, g.matrices, np.einsum("aij,bjk,cki->abc", e, e, e))
     if h.shape[1] != 3:
         raise AssertionError("so(3) stabilizer has dimension %d, not 3" % h.shape[1])
-    return build_triple(g, h, g.killing_form().scaled(form_scale))
+    return build_triple(g, h, g.killing_form().scaled(-1.0 / 30.0))
 
 
 # ---------------------------------------------------------------------------
 # negative controls
 
 
-def sp2_sp1_sphere(form_scale: float = -6.0 / 5.0) -> ReductiveTriple:
+def sp2_sp1_sphere() -> ReductiveTriple:
     """sp(2) modulo the lower-right sp(1) block."""
     g = sp(2)
     e = np.eye(g.dim)
-    return build_triple(g, e[:, 3:6], g.killing_form().scaled(form_scale))
+    return build_triple(g, e[:, 3:6], g.killing_form().scaled(-6.0 / 5.0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import Polynomial, check_close, skew_spectra, unit_rows
+from .algebra import Polynomial, check_close, chunks, skew_spectra, unit_rows
 from .liealg import null_space
 from .reductive import InfinitesimalModel, ReductiveTriple, jacobi_operator
 
@@ -72,28 +72,18 @@ def t_apply(model: InfinitesimalModel, x, s) -> np.ndarray:
     return 0.5 * (s @ t - t @ s)
 
 
-# rows of a stacked batch are processed in chunks of at most this many
-# doubles per (rows, n, n) array, so batch memory stays O(n^2) per sample
-# without ever holding a whole plan's components at once
-CHUNK_DOUBLES = 1 << 15
-
-
-def _row_chunks(count: int, per_row: int):
-    """Consecutive slices of range(count), each of at most CHUNK_DOUBLES
-    doubles at per_row doubles a row (and at least one row)."""
-    step = max(1, CHUNK_DOUBLES // max(1, per_row))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 def _sizes(r0, t, k: int) -> np.ndarray:
     """Sizes s_j(X) = |R_0(X)|_F omega^j >= |R_j(X)|_F, j = 0..k, shape (N, k+1),
     from stacks R_0(X), tau_X (N, n, n): omega = max(rho, 1e-4 |R_0(X)|_F^(1/2))
     and rho = |(tau_X^2)^4|_F^(1/8) bounds |T_X| within n^(1/16).  They scale
-    like R_j with the metric and do not depend on the orthonormal frame."""
+    like R_j with the metric and do not depend on the orthonormal frame.
+    rho is |tau_X|_F |(U^2)^4|_F^(1/8), U = tau_X / |tau_X|_F: no under- or overflow."""
     norm = np.linalg.norm(r0, axis=(1, 2))[:, None]
     if k == 0:
         return norm
-    rho = np.linalg.norm(np.linalg.matrix_power(t @ t, 4), axis=(1, 2)) ** 0.125
+    size = np.sqrt(np.einsum("nij,nij->n", t, t))
+    u = t / np.where(size > 0, size, 1.0)[:, None, None]
+    rho = size * np.linalg.norm(np.linalg.matrix_power(u @ u, 4), axis=(1, 2)) ** 0.125
     return norm * np.maximum(rho[:, None], 1e-4 * np.sqrt(norm)) ** np.arange(k + 1)
 
 
@@ -113,22 +103,22 @@ class JacobiFamily:
         """R_0(X), ..., R_k(X) for every row X of xs as checked blocks of
         consecutive orders: yields (j, ops, size), ops = R_j..R_(j+g-1)
         (N, g, n, n) and size their bounds s_j..s_(j+g-1) (N, g), with
-        N g n^2 <= CHUNK_DOUBLES, or g = 1 where N n^2 alone exceeds it.
-        tau_X is contracted once (t, when the caller has it), and the bounds
-        come from one _sizes call."""
+        N g n^2 <= algebra.CHUNK_DOUBLES, or g = 1 where N n^2 alone exceeds
+        it.  tau_X is contracted once (t, when the caller has it), and the
+        bounds come from one _sizes call."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.n)
         if t is None:
             t = self.model.tau_matrix(xs)
-        width = max(1, CHUNK_DOUBLES // max(1, xs.size * self.n))
         prev = jacobi_operator(self.model, xs, t)
         sizes = _sizes(prev, t, k)
         lengths = np.linalg.norm(xs, axis=1)[:, None]
-        for j in range(0, k + 1, width):
-            ops = np.empty((len(xs), min(width, k + 1 - j), self.n, self.n))
+        for orders in chunks(k + 1, xs.size * self.n):
+            j = orders.start
+            ops = np.empty((len(xs), orders.stop - j, self.n, self.n))
             for i in range(ops.shape[1]):
                 ops[:, i] = prev if i + j == 0 else 0.5 * (prev @ t - t @ prev)
                 prev = ops[:, i]
-            size = sizes[:, j:j + ops.shape[1]]
+            size = sizes[:, orders]
             scale = 1e-9 * size
             if np.any(np.max(np.abs(ops - ops.swapaxes(2, 3)), axis=(2, 3)) > scale):
                 raise AssertionError("R_k(X) is not symmetric")
@@ -165,12 +155,12 @@ def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
     lambda^k: |sum a_k R_k(X)|_F / sum |a_k| s_k(X), s_k the size bound of
     _sizes.  It does not depend on the metric scale or on the orthonormal
     frame; samples with R_0(X) = 0 are skipped.  Both sums accumulate over
-    the blocks of chunks of CHUNK_DOUBLES / n^2 samples."""
+    the blocks of chunks of algebra.CHUNK_DOUBLES / n^2 samples."""
     if abs(p.coefficients[-1] - 1.0) > 1e-12:
         raise ValueError("linear Jacobi relation polynomials must be monic")
     xs = _sample_rows(family.n, samples, seed)
     worst = 0.0
-    for rows in _row_chunks(len(xs), family.n ** 2):
+    for rows in chunks(len(xs), family.n ** 2):
         total = den = 0.0
         for j, ops, size in family.blocks(xs[rows], p.degree):
             a = p.coefficients[j:j + ops.shape[1]]
@@ -330,7 +320,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
         batch = batch[:budget]
         budget -= len(batch)
         degenerate = 0
-        for rows in _row_chunks(len(batch), n * n):
+        for rows in chunks(len(batch), n * n):
             status, found = _detect_rows(family, batch[rows])
             order += [int(r) for r in status if r >= 0]
             for r, record in found.items():
@@ -545,25 +535,26 @@ def _contraction_matrix(n, k):
 def _project_traces(n, k, vec):
     """Orthogonal projection onto the joint kernel of all contractions C:
     vec - C^T y, with C C^T y = C vec solved by conjugate gradients until
-    the residual is below 1e-14 |vec|."""
+    the residual is below 1e-14 |vec|.  Sums of squares use np.sum: BLAS
+    dot (@, np.linalg.norm) sums in an order that follows its thread count."""
     rows, cols, vals, count = _contraction_matrix(n, k)
 
     def contract(v):
         return np.bincount(rows, weights=vals * v[cols], minlength=count)
 
-    norm = float(np.linalg.norm(vec))
+    norm = float(np.sqrt(np.sum(vec * vec)))
     out, resid = vec, contract(vec)
-    direction, rr = resid, float(resid @ resid)
+    direction, rr = resid, float(np.sum(resid * resid))
     for _ in range(PROJECTION_STEPS):
         if np.sqrt(rr) <= 1e-14 * norm:
             break
         step = np.bincount(cols, weights=vals * direction[rows], minlength=len(vec))
-        alpha = rr / float(step @ step)
+        alpha = rr / float(np.sum(step * step))
         out = out - alpha * step
         resid = resid - alpha * contract(step)
-        rr, last = float(resid @ resid), rr
+        rr, last = float(np.sum(resid * resid)), rr
         direction = resid + (rr / last) * direction
-    if float(np.linalg.norm(contract(out))) > 1e-8 * norm:
+    if np.sqrt(np.sum(contract(out) ** 2)) > 1e-8 * norm:
         raise AssertionError("trace projection did not converge")
     return out
 
@@ -623,9 +614,9 @@ def verify_twistor(family: JacobiFamily, d: int, seed: int = 0) -> float:
     if not 0 <= d <= 5:
         raise ValueError("twistor degree d must be in 0..5, got d = %d" % d)
     vec = _compressed_tensor(family, d, seed)
-    norm = float(np.linalg.norm(vec))
+    norm = float(np.sqrt(np.sum(vec * vec)))  # not BLAS dot: see _project_traces
     # R_(d+1) scales as k^((d+3)/2) in the curvature scale k of the model
     if norm <= 1e-12 * family.model.curvature_scale ** ((d + 3) / 2):
         return 0.0
     out = _project_traces(family.n, d + 1, vec)
-    return float(np.linalg.norm(out)) / norm
+    return float(np.sqrt(np.sum(out * out))) / norm

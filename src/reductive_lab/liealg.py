@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import chunks
+
 __all__ = [
     "JACOBI_TOL",
     "DimensionMismatch",
@@ -34,7 +36,6 @@ __all__ = [
 
 JACOBI_TOL = 1e-10
 _JACOBI_BLOCK = 2 ** 14  # products per block of the sparse Jacobi sum
-_JACOBI_CHUNK = 2 ** 16  # entries per temporary of the dense Jacobi loop and commutator blocks
 
 
 class DimensionMismatch(ValueError):
@@ -91,7 +92,7 @@ class LieAlgebra:
         with more than _JACOBI_BLOCK of them on one output index m, take the
         dense loop over pairs (_dense_jacobi_residual).  Either way the
         temporaries hold at most 2 * _JACOBI_BLOCK products or
-        max(_JACOBI_CHUNK, dim^2) entries at a time, beside a few arrays
+        max(algebra.CHUNK_DOUBLES, dim^2) entries at a time, beside a few arrays
         as long as the list of nonzero constants.
         """
         dim = self.dim
@@ -189,17 +190,16 @@ def _key(index):
 
 
 def _dense_jacobi_residual(c):
-    """The defects [ad e_i, ad e_j] - ad [e_i, e_j], transposed, for j in
-    steps of at most max(1, _JACOBI_CHUNK // dim^2) at a time.
+    """The defects [ad e_i, ad e_j] - ad [e_i, e_j], transposed, for the
+    j > i in chunks of dim^2 doubles a j (algebra.chunks).
     """
     dim = len(c)
     flat = c.reshape(dim, dim * dim)
-    step = max(1, _JACOBI_CHUNK // dim ** 2)
     worst = 0.0
     for i in range(dim):
-        for j in range(i + 1, dim, step):
-            rest = c[j:j + step]
-            defect = rest @ c[i] - c[i] @ rest - (c[i, j:j + step] @ flat).reshape(rest.shape)
+        for js in chunks(dim - i - 1, dim ** 2):
+            rest = c[i + 1:][js]
+            defect = rest @ c[i] - c[i] @ rest - (c[i, i + 1:][js] @ flat).reshape(rest.shape)
             worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 
@@ -262,20 +262,21 @@ def _jacobi_terms(upper, partners, dim):
 class BilinearForm:
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("form must be finite")
         if not np.max(np.abs(m - m.T)) < 1e-12:
-            raise AssertionError("form must be symmetric")
+            raise ValueError("form must be symmetric")
         self.matrix = 0.5 * (m + m.T)
 
     def __call__(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.matrix @ np.asarray(y, float))
 
     def invariance_residual(self, g: LieAlgebra) -> float:
-        """Max |ad(e_z)^T B + B ad(e_z)| over z, for z in steps of at most
-        max(1, _JACOBI_CHUNK // dim^2)."""
-        step = max(1, _JACOBI_CHUNK // g.dim ** 2)
+        """Max |ad(e_z)^T B + B ad(e_z)| over z, for z in chunks of dim^2
+        doubles a z (algebra.chunks)."""
         worst = [0.0]
-        for z in range(0, g.dim, step):
-            cb = g.tensor[z:z + step] @ self.matrix  # cb[z] = ad(e_z)^T B
+        for z in chunks(g.dim, g.dim ** 2):
+            cb = g.tensor[z] @ self.matrix  # cb[z] = ad(e_z)^T B
             worst.append(np.max(np.abs(cb + cb.transpose(0, 2, 1))))
         return float(np.max(worst))
 
@@ -302,8 +303,8 @@ def from_matrix_algebra(matrices) -> LieAlgebra:
 
     Structure constants come from expanding commutators in the generator
     basis; a commutator leaving the span raises NotClosed.  The pairs
-    i < j are expanded in blocks of about _JACOBI_CHUNK matrix entries, and
-    only the nonzero constants of a block are kept.
+    i < j are expanded in chunks of their matrix entries (algebra.chunks),
+    and only the nonzero constants of a chunk are kept.
     """
     mats = [np.asarray(m, dtype=float) for m in matrices]
     d = len(mats)
@@ -318,10 +319,10 @@ def from_matrix_algebra(matrices) -> LieAlgebra:
     pinv = vh.T @ (inverse[:, None] * u.T)
     scale = max(1.0, float(np.sqrt(np.max(np.sum(span * span, axis=0)))))
     i, j = np.triu_indices(d, 1)
-    step = max(d, _JACOBI_CHUNK // span.shape[0])
     entries, worst, at = [], 0.0, 0
-    for p in range(0, i.size, step):
-        x, y = stack[i[p:p + step]], stack[j[p:p + step]]
+    for pairs in chunks(i.size, span.shape[0]):
+        p = pairs.start
+        x, y = stack[i[pairs]], stack[j[pairs]]
         comm = (x @ y - y @ x).reshape(len(x), -1)
         coords = comm @ pinv.T  # row q: [m_i, m_j] at pair p + q in generator coordinates
         residual = np.linalg.norm(coords @ span.T - comm, axis=1)

@@ -14,11 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import check_close
+from .algebra import check_close, chunks
 from .liealg import (BilinearForm, LieAlgebra, null_space, orthocomplement,
                      orthonormalize)
-
-_SLAB_DOUBLES = 2 ** 13  # entries per slab of the curvature skew checks
 
 __all__ = [
     "NotReductive",
@@ -178,7 +176,7 @@ class InfinitesimalModel:
         up to 1e-10 max|tensor|; curvature_scale = max(max|tau|^2, max|rbar|).
 
         rbar is read from the stored matrix in slabs of at most
-        _SLAB_DOUBLES entries, so that each slot swap stays in cache."""
+        algebra.CHUNK_DOUBLES entries, so that each slot swap stays in cache."""
         t, n = self.tau, self.n
         # the one n^4 temporary: freeing it raises glibc's dynamic mmap and trim
         # thresholds, so later MB-sized temporaries (relation detection) reuse
@@ -192,12 +190,11 @@ class InfinitesimalModel:
             if not np.max(np.abs(skew), initial=0.0) <= 1e-10 * tau_max:
                 raise AssertionError("%s is not skew" % name)
         c = self._curvature.reshape(n, n, n, n)  # c[j, b, a, u] = rbar[u, j, a, b]
-        step = max(1, _SLAB_DOUBLES // n ** 3)
         pair, endo = [0.0], [0.0]
-        for b in range(0, n, step):
-            slab = np.ascontiguousarray(c[:, b:b + step])
+        for b in chunks(n, n ** 3):
+            slab = np.ascontiguousarray(c[:, b])
             pair.append(np.abs(slab + slab.transpose(3, 1, 2, 0)).max())
-            endo.append(np.abs(slab + c[:, :, b:b + step].transpose(0, 2, 1, 3)).max())
+            endo.append(np.abs(slab + c[:, :, b].transpose(0, 2, 1, 3)).max())
         for name, worst in (("rbar(x, y)", pair), ("rbar(x, y) as an endomorphism", endo)):
             if not np.max(worst) <= 1e-10 * rbar_max:
                 raise AssertionError("%s is not skew" % name)
@@ -313,7 +310,7 @@ def extend_fibered(triple: ReductiveTriple, h_normal, s: float) -> ReductiveTrip
         sign = -1.0
     else:
         raise InadmissibleS("B is indefinite on the fiber directions")
-    if sign * (1.0 + s) <= 0 or s == -1.0:
+    if not sign * (1.0 + s) > 0:
         raise InadmissibleS("s = %g is outside the admissible range" % s)
     z_cols = orthonormalize(z_cols, B if sign > 0 else B.scaled(-1.0))
     if s == 0.0:

@@ -28,16 +28,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "reductive_lab"
 
-# The metric normalisation of a preset space is part of its geometry, like
-# the s of a Berger sphere, so these stay parameters with or without callers.
-GEOMETRY_PARAMETERS = {
-    "catalog.s3_x_s3(form_scale)",
-    "catalog.s6_round(form_scale)",
-    "catalog.spin7_sphere(form_scale)",
-    "catalog.squashed_s7(form_scale)",
-    "catalog.v1_space(form_scale)",
-    "catalog.sp2_sp1_sphere(form_scale)",
-}
 # Set by the catalog registry through builder(**params), which the scan
 # cannot match to the builder by name.
 REGISTRY_PARAMETERS = {
@@ -143,12 +133,12 @@ def audit():
 def test_every_defaulted_parameter_is_set_by_a_caller():
     everything, never_set = audit()
     assert everything, "the scan found no defaulted parameter at all"
-    assert sorted(set(never_set) - GEOMETRY_PARAMETERS - REGISTRY_PARAMETERS) == []
+    assert sorted(set(never_set) - REGISTRY_PARAMETERS) == []
 
 
-def test_geometry_allowlist_names_real_parameters():
+def test_registry_allowlist_names_real_parameters():
     everything, _ = audit()
-    assert GEOMETRY_PARAMETERS | REGISTRY_PARAMETERS <= set(everything)
+    assert REGISTRY_PARAMETERS <= set(everything)
 
 
 def exports():

@@ -59,9 +59,12 @@ class TestNormalizationLemma:
             assert abs(scalar_curvature(built[name]) - 30.0) < 1e-9, name
 
     def test_nearly_parallel_scal_at_six_fifths(self):
-        for build in (catalog.spin7_sphere, catalog.squashed_s7, catalog.v1_space):
-            m = to_model(build(form_scale=-6.0 / 5.0))
+        for build in (catalog.spin7_sphere, catalog.squashed_s7):
+            m = to_model(build())
             assert abs(scalar_curvature(m) - 21.0 / 8.0) < 1e-9
+        # np:v1 is at -1/30 Killing; -6/5 Killing scales the metric by 36
+        m = catalog.rescale_model(to_model(catalog.v1_space()), 36.0)
+        assert abs(scalar_curvature(m) - 21.0 / 8.0) < 1e-9
         # np:v3 is aw:n11,s=1.5 at -1/12 Killing; -6/5 Killing scales the metric by 72/5
         m = catalog.rescale_model(catalog.aloff_wallach_n11(1.5), 72.0 / 5.0)
         assert abs(scalar_curvature(m) - 21.0 / 8.0) < 1e-9
@@ -337,7 +340,8 @@ class TestClosedFormBerger:
         np.testing.assert_allclose(poly_coeffs(got), poly_coeffs(want), rtol=0, atol=1e-9 * c2)
 
     @pytest.mark.parametrize("n,s,kappa", [(2, -2.0, 1), (2, 1.0, -1), (2, -1.0, 1),
-                                           (0, 1.0, 1)])
+                                           (0, 1.0, 1), (2, float("nan"), 1),
+                                           (2, float("nan"), -1)])
     def test_rejects_what_the_lie_route_rejects(self, n, s, kappa):
         with pytest.raises(ValueError) as lie:
             berger_lie_route(n, s, kappa)

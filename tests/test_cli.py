@@ -64,7 +64,8 @@ class TestTokens:
         assert cli._token(1e-16, 1.0) == "0"
         assert cli._token(1e-16, 1e-16) == 1e-16
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-5, 1.0, 1e5])
+    # 1e-40 and 1e40 are past the range where |tau_X|^8 under- or overflows
+    @pytest.mark.parametrize("c", [1e-40, 1e-25, 1e-8, 1e-5, 1.0, 1e5, 1e25, 1e40])
     def test_heisenberg_reports_its_true_coefficients(self, capsys, c):
         # relation lambda^3 + c^2 lambda and scalar curvature -c^2 at n = 2
         code, out, _ = run(capsys, "minpoly", "heisenberg:n=2,c=%r" % c, "--json")
@@ -445,6 +446,25 @@ class TestStderr:
         else:
             assert out.stderr == ""
             assert "nan" in out.stdout
+
+
+class TestBlasThreads:
+    """A report does not depend on how many threads BLAS runs: the twistor
+    projection sums its long vectors in numpy's own order."""
+
+    @pytest.mark.parametrize("argv", [["twistor", "np:v1", "--d", "3", "--json"],
+                                      ["twistor", "berger:n=3,s=1", "--d", "2"]],
+                             ids=["np:v1 d=3", "berger d=2"])
+    def test_stdout_is_byte_identical(self, argv):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-m", "reductive_lab.cli", *argv],
+                                 capture_output=True, env=env, timeout=300)
+            assert out.returncode == 0, out.stderr
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]
 
 
 def test_console_script():

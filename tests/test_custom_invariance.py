@@ -19,7 +19,8 @@ within 1e-7 of the expected value, at every t.
 
 A file whose isotropy and m rows do not span g, because rows are dropped
 or repeated, exits 2 as NotReductive; so does one whose m rows are not
-B-orthonormal, or not B-orthogonal to the isotropy.
+B-orthonormal, or not B-orthogonal to the isotropy.  A file whose form is
+not symmetric or not finite exits 2 as ValueError.
 """
 
 import contextlib
@@ -180,3 +181,16 @@ def test_custom_rejects_an_m_row_tilted_into_the_isotropy(tmp_path, normalized, 
     error = json.loads(err)["error"]
     assert error["type"] == "NotReductive"
     assert error["message"].startswith(message)
+
+
+# a form that is not symmetric, or not finite, is bad input: ValueError, not
+# the AssertionError of a broken invariant
+@pytest.mark.parametrize("entry_value, message", [(lambda v: v + 1e-3, "form must be symmetric"),
+                                                  (lambda v: float("nan"), "form must be finite")],
+                         ids=["moved", "nan"])
+def test_custom_rejects_a_bad_form_entry(tmp_path, entry_value, message):
+    data = custom_json(entry("nk:flag").build().triple, "nk:flag")
+    data["forms"]["b"][0][1] = entry_value(data["forms"]["b"][0][1])
+    code, report, err = run_custom(data, tmp_path)
+    assert (code, report) == (2, None)
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}

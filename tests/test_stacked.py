@@ -136,7 +136,7 @@ def test_blocks_are_consecutive_orders_within_the_chunk_bound(rows, k):
     assert [j for j, _, _ in blocks] == [sum(widths[:i]) for i in range(len(blocks))]
     for _, ops, size in blocks:
         assert ops.shape[0] == size.shape[0] == rows and ops.shape[1] == size.shape[1]
-        assert ops.size <= jacobi.CHUNK_DOUBLES or ops.shape[1] == 1
+        assert ops.size <= algebra.CHUNK_DOUBLES or ops.shape[1] == 1
     ops = family.stack(xs, k)
     np.testing.assert_array_equal(np.concatenate([s for _, _, s in blocks], axis=1),
                                   jacobi._sizes(ops[:, 0], model.tau_matrix(xs), k))
@@ -265,7 +265,7 @@ def test_tau_x_is_contracted_once_per_chunk(monkeypatch):
     model = entry("heisenberg:n=12,c=0.558").build()
     family = JacobiFamily(model)
     xs = sample_vectors(model.n)
-    chunks = jacobi._row_chunks(len(xs), model.n ** 2)
+    chunks = algebra.chunks(len(xs), model.n ** 2)
     real, calls = model.tau_matrix, []
 
     def counting(x):
