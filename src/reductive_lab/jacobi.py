@@ -76,14 +76,11 @@ def _sizes(r0, t, k: int) -> np.ndarray:
     """Sizes s_j(X) = |R_0(X)|_F omega^j >= |R_j(X)|_F, j = 0..k, shape (N, k+1),
     from stacks R_0(X), tau_X (N, n, n): omega = max(rho, 1e-4 |R_0(X)|_F^(1/2))
     and rho = |(tau_X^2)^4|_F^(1/8) bounds |T_X| within n^(1/16).  They scale
-    like R_j with the metric and do not depend on the orthonormal frame.
-    rho is |tau_X|_F |(U^2)^4|_F^(1/8), U = tau_X / |tau_X|_F: no under- or overflow."""
+    like R_j with the metric and do not depend on the orthonormal frame."""
     norm = np.linalg.norm(r0, axis=(1, 2))[:, None]
     if k == 0:
         return norm
-    size = np.sqrt(np.einsum("nij,nij->n", t, t))
-    u = t / np.where(size > 0, size, 1.0)[:, None, None]
-    rho = size * np.linalg.norm(np.linalg.matrix_power(u @ u, 4), axis=(1, 2)) ** 0.125
+    rho = np.linalg.norm(np.linalg.matrix_power(t @ t, 4), axis=(1, 2)) ** 0.125
     return norm * np.maximum(rho[:, None], 1e-4 * np.sqrt(norm)) ** np.arange(k + 1)
 
 
@@ -149,21 +146,32 @@ def _sample_rows(n: int, samples, seed: int) -> np.ndarray:
     return samples
 
 
+def _scaled_rows(family: JacobiFamily, samples, seed: int):
+    """The sample rows (_sample_rows) times 2^-e, and e = frexp(curvature_scale)[1] // 2:
+    exactly, to the curvature scale [1/2, 2) that the thresholds hold at."""
+    e = int(np.frexp(family.model.curvature_scale)[1] // 2)
+    return np.ldexp(_sample_rows(family.n, samples, seed), -e), e
+
+
 def check_ljr(family: JacobiFamily, p: Polynomial, samples=64,
               seed: int = 0) -> float:
     """Max over samples of the relation residual of a monic P = sum a_k
     lambda^k: |sum a_k R_k(X)|_F / sum |a_k| s_k(X), s_k the size bound of
     _sizes.  It does not depend on the metric scale or on the orthonormal
     frame; samples with R_0(X) = 0 are skipped.  Both sums accumulate over
-    the blocks of chunks of algebra.CHUNK_DOUBLES / n^2 samples."""
+    the blocks of chunks of algebra.CHUNK_DOUBLES / n^2 samples.  The rows
+    are read at the curvature scale (_scaled_rows) and each a_k is scaled by
+    2^(-e (deg - k)): exact, and the residual does not change, but R_k(X)
+    and s_k(X) neither under- nor overflow at extreme torsion."""
     if abs(p.coefficients[-1] - 1.0) > 1e-12:
         raise ValueError("linear Jacobi relation polynomials must be monic")
-    xs = _sample_rows(family.n, samples, seed)
+    xs, e = _scaled_rows(family, samples, seed)
+    coefficients = np.ldexp(p.coefficients, -e * np.arange(p.degree, -1, -1))
     worst = 0.0
     for rows in chunks(len(xs), family.n ** 2):
         total = den = 0.0
         for j, ops, size in family.blocks(xs[rows], p.degree):
-            a = p.coefficients[j:j + ops.shape[1]]
+            a = coefficients[j:j + ops.shape[1]]
             total += np.einsum("k,pkij->pij", a, ops)
             den += size @ np.abs(a)
         keep = den != 0  # a non-finite size is kept: its NaN or inf propagates
@@ -304,18 +312,15 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
     Samples are processed as stacks in rounds: first the plan, then the
     replacements drawn for the degenerate samples of the previous round, in
     order, within a budget of three samples per plan row.  Every row is
-    scaled by 2^-e, e = frexp(curvature_scale)[1] // 2: exactly, to the
-    curvature scale [1/2, 2) the thresholds hold at; the lambdas scale back.
+    read at the curvature scale (_scaled_rows); the lambdas scale back.
     """
     n = family.n
-    xs = _sample_rows(n, samples, seed)
-    e = np.frexp(family.model.curvature_scale)[1] // 2
+    batch, e = _scaled_rows(family, samples, seed)
     rng = np.random.default_rng(seed + 0x5eed)
-    budget = 3 * len(xs)
+    budget = allowance = 3 * len(batch)
     order = []  # block count of every accepted sample, in processing order
     groups = {}  # block count -> the _detect_rows records of its samples
     resampled = skipped_zero = 0
-    batch = np.ldexp(xs, -e)
     while len(batch) and budget > 0:
         batch = batch[:budget]
         budget -= len(batch)
@@ -381,7 +386,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
         "component_max_relnorm": {key: max_rel[key] for key in keys},
         "component_vanish": vanish,
         "failures": failures,
-        "samples_offered": 3 * len(xs) - budget,
+        "samples_offered": allowance - budget,
         "resampled": resampled,
         "skipped_zero": skipped_zero,
         "dropped_nonmodal": len(order) - len(lam),
@@ -396,7 +401,7 @@ def minimal_ljr(family: JacobiFamily, samples=64, seed: int = 0) -> LjrVerdict:
             distinct.append(v)
     eigen_structure["factors"] = distinct
     p = _quadratic_product(1, distinct)
-    return LjrVerdict(True, p, eigen_structure, check_ljr(family, p, samples=xs))
+    return LjrVerdict(True, p, eigen_structure, check_ljr(family, p, samples, seed))
 
 
 def _quadratic_product(e: int, values) -> Polynomial:
@@ -506,9 +511,10 @@ def _extend(n, gammas, tails):
 
 
 def _contraction_matrix(n, k):
-    """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords, in
-    COO form: rows, columns, values and the row count.  Column a * nb + b
-    holds multiset a of Sym^(k+2) against multiset b of Sym^2.
+    """Stacked metric contractions on Sym^(k+2) x Sym^2, weighted coords, as
+    fixed-width rows: columns and values (rows, n), one entry per basis
+    index i.  Column a * nb + b holds multiset a of Sym^(k+2) against
+    multiset b of Sym^2.
 
     The three contractions (two base slots, the two endomorphism slots, one
     of each) share one form: row (gamma, r) sums the entries (gamma + s_i,
@@ -518,18 +524,16 @@ def _contraction_matrix(n, k):
     nb = len(_weights(n, 2))
     i = np.arange(n)[:, None]
     ii, none = np.hstack([i, i]), i[:, :0]
-    parts, count = [], 0
+    parts = []
     for g, s, t in ((k, ii, none), (m, none, ii), (k + 1, i, i)):
         r = 2 - t.shape[1]
         alpha = _extend(n, _msets(n, g), s)[:, None]  # (G, 1, i)
         beta = _extend(n, _msets(n, r), t)  # (R, i)
-        block = np.arange(count, count + len(alpha) * len(beta)).reshape(len(alpha), -1, 1)
         b_part = _weights(n, 2)[beta] / _weights(n, r)[:, None]
-        entries = np.broadcast_arrays(block, alpha * nb + beta, _weights(n, g)[:, None, None]
+        entries = np.broadcast_arrays(alpha * nb + beta, _weights(n, g)[:, None, None]
                                       / (_weights(n, m)[alpha] * b_part))
-        parts.append([e.ravel() for e in entries])
-        count += block.size
-    return tuple(np.concatenate(column) for column in zip(*parts)) + (count,)
+        parts.append([e.reshape(-1, n) for e in entries])
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _project_traces(n, k, vec):
@@ -537,10 +541,10 @@ def _project_traces(n, k, vec):
     vec - C^T y, with C C^T y = C vec solved by conjugate gradients until
     the residual is below 1e-14 |vec|.  Sums of squares use np.sum: BLAS
     dot (@, np.linalg.norm) sums in an order that follows its thread count."""
-    rows, cols, vals, count = _contraction_matrix(n, k)
+    cols, vals = _contraction_matrix(n, k)
 
     def contract(v):
-        return np.bincount(rows, weights=vals * v[cols], minlength=count)
+        return np.sum(vals * v[cols], axis=1)
 
     norm = float(np.sqrt(np.sum(vec * vec)))
     out, resid = vec, contract(vec)
@@ -548,7 +552,7 @@ def _project_traces(n, k, vec):
     for _ in range(PROJECTION_STEPS):
         if np.sqrt(rr) <= 1e-14 * norm:
             break
-        step = np.bincount(cols, weights=vals * direction[rows], minlength=len(vec))
+        step = np.bincount(cols.ravel(), (vals * direction[:, None]).ravel(), len(vec))
         alpha = rr / float(np.sum(step * step))
         out = out - alpha * step
         resid = resid - alpha * contract(step)
@@ -565,8 +569,10 @@ def _coefficients(model: InfinitesimalModel, k: int) -> np.ndarray:
 
     R_0 is quadratic: c[{a,a}] = R_0(e_a) and c[{a,b}] = R_0(e_a + e_b) -
     R_0(e_a) - R_0(e_b), from one stacked R_0.  T_X is linear in X, so
-    c'[beta] sums (c[beta - i] tau_i - tau_i c[beta - i]) / 2 over the
-    distinct i in beta, tau_i = tau_(e_i).
+    c'[beta] sums (c[alpha] tau_i - tau_i c[alpha]) / 2 over the distinct i
+    in beta, alpha = beta - i, tau_i = tau_(e_i): every beta that holds i
+    is alpha + i for exactly one alpha, so each order adds, for i ascending,
+    the term of every alpha to its alpha + i, over chunks of alpha rows.
     """
     n = model.n
     pairs = _msets(n, 2)
@@ -577,13 +583,11 @@ def _coefficients(model: InfinitesimalModel, k: int) -> np.ndarray:
     c = r0 - off[:, None, None] * (single[pairs[:, 0]] + single[pairs[:, 1]])
     tau = model.tau_matrix(eye)
     for m in range(3, k + 3):
-        betas = _msets(n, m)
-        out = np.zeros((len(betas), n, n))
-        for slot in range(m):
-            i = betas[:, slot]
-            first = np.flatnonzero(betas[:, slot - 1] != i) if slot else np.arange(len(i))
-            prev = c[_rank(n, np.delete(betas[first], slot, axis=1))]
-            out[first] += 0.5 * (prev @ tau[i[first]] - tau[i[first]] @ prev)
+        out = np.zeros((len(_msets(n, m)), n, n))
+        for i in range(n):
+            after = _extend(n, _msets(n, m - 1), [[i]])[:, 0]  # the index of alpha + i
+            for rows in chunks(len(c), n * n):
+                out[after[rows]] += 0.5 * (c[rows] @ tau[i] - tau[i] @ c[rows])
         c = out
     return c
 

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+_SLAB = 64  # inner indices per product of InfinitesimalModel.curvature_term
+
+
 class NotReductive(ValueError):
     pass
 
@@ -208,10 +211,16 @@ class InfinitesimalModel:
     def curvature_term(self, x) -> np.ndarray:
         """rbar(., X)X, i.e. R_0(X) without the torsion-square part, for one
         X or for every row X of a stack: the outer product X (x) X times the
-        stored curvature matrix."""
+        stored curvature matrix, summed over slabs of 64 inner indices in
+        order, so that a threaded BLAS does not split the sum and its
+        rounding does not follow the thread count."""
         x = np.asarray(x, dtype=float)
         outer = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (self.n ** 2,))
-        return (outer @ self._curvature).reshape(x.shape + (self.n,))
+        c = self._curvature
+        out = outer[..., :_SLAB] @ c[:_SLAB]
+        for i in range(_SLAB, len(c), _SLAB):
+            out += outer[..., i:i + _SLAB] @ c[i:i + _SLAB]
+        return out.reshape(x.shape + (self.n,))
 
     def holonomy_residual(self) -> float:
         """Maximal residual of rbar(e_i, e_j) acting on tau as a derivation.

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 
 from reductive_lab.catalog import _berger_base, berger_total_space
@@ -138,13 +140,21 @@ def heisenberg_closed_form(n, c):
     return InfinitesimalModel(tau, rbar)
 
 
+# the base does not depend on s; two entries hold both kappa of one n, the
+# order in which the oracle cases run
+@lru_cache(maxsize=2)
+def _lie_base(n, kappa):
+    return _berger_base(n, kappa)
+
+
 def berger_lie_route(n, s, kappa):
     """The Berger space of berger_model(n, s, kappa) through the Lie route:
     the fibered extension of the normal triple on su(n+1)/u(n) or
-    su(n,1)/u(n)."""
-    if kappa == 1:
-        return berger_total_space(n, s)
-    return extend_fibered(*_berger_base(n, kappa), s)
+    su(n,1)/u(n), that is berger_total_space(n, s) for kappa = 1, from a
+    base built once per (n, kappa)."""
+    if n < 1:
+        return berger_total_space(n, s)  # raises its ValueError
+    return extend_fibered(*_lie_base(n, kappa), s)
 
 
 def hopf_lie_triple(ident):

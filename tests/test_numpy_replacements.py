@@ -1,6 +1,6 @@
 """The numpy replacements of the former scipy calls against references.
 
-The COO contraction map against the Python-loop construction it replaced;
+The fixed-width contraction rows against the Python-loop construction it replaced;
 the conjugate-gradient trace projection against scipy's lsmr; the isotropy
 flows against scipy's expm; the golden-section round member against
 Brent's bounded search; the monomial coefficients of R_(d+1) against the
@@ -8,6 +8,7 @@ stencil polarization they replaced.  scipy serves only as the oracle here.
 """
 
 import itertools
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -78,9 +79,11 @@ def test_cli_dims_cover_the_catalog():
     | {(n, k) for n in range(3, 6) for k in range(0, 5)}))  # trace_free_part too
 def test_contraction_matrix_matches_loops(n, k):
     rows, cols, vals, count, width = _reference_contraction_matrix(n, k)
-    got_rows, got_cols, got_vals, got_count = jacobi._contraction_matrix(n, k)
-    assert got_count == count
-    assert max(got_cols) < width
+    got_cols, got_vals = jacobi._contraction_matrix(n, k)
+    assert got_cols.shape == got_vals.shape == (count, n)
+    assert np.max(got_cols) < width
+    got_rows = np.repeat(np.arange(count), n)
+    got_cols, got_vals = got_cols.ravel(), got_vals.ravel()
 
     def entries_of(r, c, v):
         order = np.argsort(r * width + c, kind="stable")
@@ -104,8 +107,10 @@ def test_projection_matches_lsmr(families, ident, d):
     linalg = pytest.importorskip("scipy.sparse.linalg")
     family = families[ident]
     vec = jacobi._compressed_tensor(family, d, 0)
-    rows, cols, vals, count = jacobi._contraction_matrix(family.n, d + 1)
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(count, len(vec)))
+    cols, vals = jacobi._contraction_matrix(family.n, d + 1)
+    count = len(cols)
+    rows = np.repeat(np.arange(count), family.n)
+    mat = sparse.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(count, len(vec)))
     sol = linalg.lsmr(mat.T, vec, atol=1e-14, btol=1e-14, maxiter=8 * count)[0]
     want = vec - mat.T @ sol
     got = jacobi._project_traces(family.n, d + 1, vec)
@@ -214,3 +219,18 @@ def test_coefficients_reproduce_the_stack(families, ident, k):
     got = np.einsum("xa,aij->xij", monomials, jacobi._coefficients(family.model, k))
     want = family.stack(xs, k)[:, k]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+# the coefficients of every order are built from those of the order below,
+# over chunks of rows: the traced peak stays within 4x the result
+@pytest.mark.parametrize("ident, k", [("np:v1", 6), ("heisenberg:n=4,c=1", 5),
+                                      ("berger:n=5,s=1", 4)])
+def test_coefficients_peak_is_bounded_by_the_result(ident, k):
+    model = entry(ident).build()
+    tracemalloc.start()
+    try:
+        c = jacobi._coefficients(model, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * c.nbytes
